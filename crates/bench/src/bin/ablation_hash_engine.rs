@@ -8,14 +8,14 @@
 //! Usage: `cargo run --release -p seda-bench --bin ablation_hash_engine`
 
 use seda::models::zoo;
-use seda::pipeline::{run_model, run_model_with_verifier};
+use seda::pipeline::run_trace;
 use seda::protect::{HashEngine, LayerMacStore, SedaScheme, Unprotected, PROTECTED_BYTES};
-use seda::scalesim::NpuConfig;
+use seda::scalesim::{simulate_model, NpuConfig};
 
 fn main() {
     let npu = NpuConfig::edge();
-    let model = zoo::resnet18();
-    let base = run_model(&npu, &model, &mut Unprotected::new());
+    let sim = simulate_model(&npu, &zoo::resnet18());
+    let base = run_trace(&sim, &npu, &mut Unprotected::new(), None, 1).remove(0);
     println!("Ablation: hash-engine throughput (rest, edge NPU, SeDA)");
     println!(
         "(memory system needs {:.1} B/cycle at this clock)\n",
@@ -24,12 +24,14 @@ fn main() {
     println!("{:>12} {:>14} {:>10}", "throughput", "cycles", "slowdown");
     for bpc in [0.5f64, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0] {
         let engine = HashEngine::new(bpc, 80);
-        let r = run_model_with_verifier(
+        let r = run_trace(
+            &sim,
             &npu,
-            &model,
             &mut SedaScheme::new(LayerMacStore::OffChip, PROTECTED_BYTES),
             Some(&engine),
-        );
+            1,
+        )
+        .remove(0);
         println!(
             "{:>8.1} B/cy {:>14} {:>9.4}x",
             bpc,

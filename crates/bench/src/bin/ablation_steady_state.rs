@@ -9,17 +9,25 @@
 //! Usage: `cargo run --release -p seda-bench --bin ablation_steady_state`
 
 use seda::models::zoo;
-use seda::pipeline::run_model_repeated;
-use seda::protect::scheme_by_name;
-use seda::scalesim::NpuConfig;
+use seda::pipeline::run_trace;
+use seda::protect::{scheme_by_name, ProtectionScheme};
+use seda::scalesim::{simulate_model, ModelSim, NpuConfig};
+
+/// Total cycles of each of `n` back-to-back inferences.
+fn totals(sim: &ModelSim, npu: &NpuConfig, scheme: &mut dyn ProtectionScheme, n: u32) -> Vec<u64> {
+    run_trace(sim, npu, scheme, None, n)
+        .iter()
+        .map(|r| r.total_cycles)
+        .collect()
+}
 
 fn main() {
     let npu = NpuConfig::edge();
-    let model = zoo::resnet18();
+    let sim = simulate_model(&npu, &zoo::resnet18());
     const N: u32 = 8;
     println!("Extension: steady-state behaviour over {N} inferences (rest, edge)\n");
     let mut base = scheme_by_name("baseline").expect("known");
-    let base_totals = run_model_repeated(&npu, &model, base.as_mut(), N);
+    let base_totals = totals(&sim, &npu, base.as_mut(), N);
     let mut header = format!("{:<10}", "scheme");
     for i in 0..N {
         header.push_str(&format!("   inf{i}"));
@@ -27,7 +35,7 @@ fn main() {
     println!("{header}");
     for name in ["SGX-64B", "MGX-64B", "MGX-512B", "SeDA"] {
         let mut scheme = scheme_by_name(name).expect("known");
-        let totals = run_model_repeated(&npu, &model, scheme.as_mut(), N);
+        let totals = totals(&sim, &npu, scheme.as_mut(), N);
         let mut row = format!("{name:<10}");
         for (t, b) in totals.iter().zip(base_totals.iter()) {
             row.push_str(&format!(" {:>6.3}", *t as f64 / *b as f64));

@@ -12,79 +12,13 @@
 
 use seda::functional::{run_protected, run_reference};
 use seda::models::zoo;
-use seda::pipeline::{run_spec, RunSpec};
+use seda::pipeline::run_trace;
 use seda::protect::{paper_lineup, scheme_by_name};
 use seda::report::{table1, table2, table3};
-use seda::scalesim::{AddressMap, NpuConfig};
+use seda::scalesim::{simulate_model, AddressMap, NpuConfig};
 use seda::scenario;
 use seda::sweep::Sweep;
 use seda::telemetry;
-
-const EXPERIMENTS: &[(&str, &str)] = &[
-    (
-        "fig4_area_power",
-        "Fig. 4: T-AES vs B-AES area/power scaling",
-    ),
-    (
-        "fig5_memory_traffic",
-        "Fig. 5: normalized traffic, 13 workloads x 2 NPUs",
-    ),
-    (
-        "fig6_performance",
-        "Fig. 6: normalized runtime, 13 workloads x 2 NPUs",
-    ),
-    ("alg1_seca", "Algorithm 1: SECA attack and B-AES defense"),
-    (
-        "alg2_repa",
-        "Algorithm 2: RePA attack and position-bound defense",
-    ),
-    (
-        "ablation_granularity",
-        "protection-block granularity U-curve",
-    ),
-    ("ablation_optblk", "per-layer optBlk search"),
-    ("ablation_caches", "SGX metadata-cache size sensitivity"),
-    ("ablation_layer_mac", "SeDA layer MACs on-chip vs off-chip"),
-    (
-        "ablation_securator",
-        "redundant hash work of layer-XOR checks",
-    ),
-    ("ablation_energy", "DRAM energy per scheme"),
-    ("ablation_sram", "SRAM capacity sweep"),
-    ("ablation_dataflow", "OS vs WS dataflow"),
-    ("ablation_hash_engine", "verifier throughput sizing cliff"),
-    (
-        "ablation_steady_state",
-        "cold-start vs steady-state overheads",
-    ),
-    (
-        "layer_report",
-        "per-layer schedule/traffic/cycle drill-down",
-    ),
-    ("workloads_report", "13-workload census"),
-    (
-        "gen_trace / replay_trace",
-        "burst-trace export and standalone replay",
-    ),
-    ("custom_topology", "run a user CSV topology"),
-    (
-        "sweep_bench",
-        "unified sweep engine vs legacy serial-path timing",
-    ),
-    (
-        "serve_bench",
-        "multi-tenant serving event-kernel throughput",
-    ),
-    (
-        "stream_bench",
-        "sealed-model streaming GB/s and overlap efficiency",
-    ),
-    (
-        "validate_sim",
-        "fast models vs cycle/command-level cross-check",
-    ),
-    ("experiments_md", "regenerate EXPERIMENTS.md"),
-];
 
 fn usage() -> ! {
     eprintln!("usage: seda_cli [--telemetry <out.json>] <command>");
@@ -135,6 +69,15 @@ fn usage() -> ! {
 fn die(e: seda::SedaError) -> ! {
     eprintln!("error: {e}");
     std::process::exit(1);
+}
+
+/// Writes `contents` to `path`; when the path cannot be written, prints
+/// the path and the I/O error and exits 1.
+fn write_or_die(path: &str, contents: impl AsRef<[u8]>) {
+    if let Err(e) = std::fs::write(path, contents) {
+        eprintln!("error: cannot write {path}: {e}");
+        std::process::exit(1);
+    }
 }
 
 /// Removes `flag <value>` from `rest`, returning the value.
@@ -251,7 +194,7 @@ fn scenario_cmd(args: &[String]) -> i32 {
             };
             print!("{}", run.render());
             if let Some(path) = json_path {
-                std::fs::write(&path, run.snapshot_json()).expect("writable snapshot path");
+                write_or_die(&path, run.snapshot_json());
                 eprintln!("scenario snapshot written to {path}");
             }
             let unmet = run.check_expectations();
@@ -300,7 +243,7 @@ fn serve_cmd(args: &[String]) -> i32 {
     };
     print!("{}", run.report.render());
     if let Some(path) = json_path {
-        std::fs::write(&path, run.report.snapshot_json()).expect("writable snapshot path");
+        write_or_die(&path, run.report.snapshot_json());
         eprintln!("serving snapshot written to {path}");
     }
     let unmet = run.failures(&s);
@@ -442,7 +385,7 @@ fn stream_cmd(args: &[String]) -> i32 {
             );
             if let Some(path) = json_path {
                 let snap = stream_snapshot(model.name(), &spec, Ok(&run));
-                std::fs::write(&path, snap).expect("writable snapshot path");
+                write_or_die(&path, snap);
                 eprintln!("stream snapshot written to {path}");
             }
             0
@@ -450,7 +393,7 @@ fn stream_cmd(args: &[String]) -> i32 {
         Err(e) => {
             if let Some(path) = json_path {
                 let snap = stream_snapshot(model.name(), &spec, Err(&e));
-                std::fs::write(&path, snap).expect("writable snapshot path");
+                write_or_die(&path, snap);
                 eprintln!("stream snapshot written to {path}");
             }
             eprintln!("error: stream rejected: {e}");
@@ -528,14 +471,14 @@ fn main() {
     match args.first().map(String::as_str) {
         Some("list") => {
             println!("experiment binaries (run with `cargo run --release -p seda-bench --bin <name>`):\n");
-            for (name, what) in EXPERIMENTS {
+            for (name, what) in seda_bench::EXPERIMENTS {
                 println!("  {name:<24} {what}");
             }
             println!();
             println!("paper tables: `seda_cli table <1|2|3>`");
-            println!("scenario zoo: `seda_cli scenario list` (fig5/fig6 and the");
-            println!("ablations are scenario-driven; the fig/ablation binaries are");
-            println!("thin wrappers over `scenarios/<name>.json`)");
+            println!("scenario zoo: `seda_cli scenario list`; run one (Fig. 5/6 and the");
+            println!("cache, energy and granularity ablations among them) with");
+            println!("`seda_cli scenario run <name> [--json <out.json>]`");
         }
         Some("table") => match args.get(1).map(String::as_str) {
             Some("1") => print!("{}", table1()),
@@ -573,8 +516,8 @@ fn main() {
                 std::process::exit(1);
             };
             let repeats: u32 = args.get(4).and_then(|n| n.parse().ok()).unwrap_or(1);
-            let spec = RunSpec::new(&npu, &model).repeats(repeats.max(1));
-            for r in run_spec(&spec, scheme.as_mut()) {
+            let sim = simulate_model(&npu, &model);
+            for r in run_trace(&sim, &npu, scheme.as_mut(), None, repeats.max(1)) {
                 println!(
                     "{} on {} under {}: {} bytes of traffic, {} cycles ({:.3} ms)",
                     r.model,
@@ -603,7 +546,7 @@ fn main() {
     // The telemetry snapshot is written even for failing scenario runs —
     // it is part of the failure artifact CI archives.
     if let (Some(path), Some(sink)) = (telemetry_path, sink) {
-        std::fs::write(&path, sink.snapshot().to_json()).expect("writable telemetry path");
+        write_or_die(&path, sink.snapshot().to_json());
         eprintln!("telemetry snapshot written to {path}");
     }
     if exit_code != 0 {

@@ -1,11 +1,6 @@
-//! Times the unified sweep engine against the legacy serial path on the
-//! paper's headline two-NPU matrix (13 workloads × 6 schemes × 2 NPUs).
-//!
-//! The legacy path is what `evaluate` used to do: a nested loop calling
-//! `run_model` per point, which re-simulates the accelerator trace for
-//! every scheme. The engine path (`evaluate_suites`) shares one trace per
-//! (NPU, model) pair and executes points on scoped threads. Both must
-//! produce identical cycle totals — this binary asserts it.
+//! Times the sweep engine on the paper's headline two-NPU matrix
+//! (13 workloads × 6 schemes × 2 NPUs): `evaluate_suites` shares one
+//! trace per (NPU, model) pair and executes points on scoped threads.
 //!
 //! Besides the human-readable summary, the run is recorded in
 //! `BENCH_sweep.json` (or the path given as the first argument) so CI can
@@ -15,8 +10,6 @@
 
 use seda::experiment::{evaluate_suites_with_stats, scheme_names};
 use seda::models::zoo;
-use seda::pipeline::run_model;
-use seda::protect::scheme_by_name;
 use seda::scalesim::NpuConfig;
 use seda_bench::round6;
 use serde::Serialize;
@@ -33,27 +26,19 @@ struct BenchRecord {
     trace_hits: u64,
     /// Fraction of trace lookups served from the cache.
     trace_hit_rate: f64,
-    /// Legacy serial path wall-clock, milliseconds.
-    serial_ms: f64,
     /// Sweep-engine wall-clock, milliseconds.
     engine_ms: f64,
-    /// serial_ms / engine_ms.
-    speedup: f64,
-    /// Engine wall-clock per sweep point, milliseconds. Point cost is
-    /// dominated by DRAM replay (the trace cache removed re-simulation),
-    /// so this is the trajectory metric for DRAM-kernel work: it captures
-    /// replay wins even on single-CPU hosts where `speedup` sits near
-    /// 1.0x because parallelism cannot engage.
-    dram_replay_ms_per_point: f64,
+    /// Engine wall-clock divided by the sweep points, milliseconds. It
+    /// covers the whole point (lowering, DRAM replay and the rest), not
+    /// DRAM replay alone.
+    engine_ms_per_point: f64,
     /// CPUs visible to this process. On a single-core host the engine
-    /// cannot parallelize, so speedups near 1.0x are expected and the
-    /// trace-cache reuse is the whole win — this field makes such runs
-    /// self-explaining in the archived trajectory.
+    /// cannot parallelize and the trace-cache reuse is the whole win —
+    /// this field makes such runs self-explaining in the archived
+    /// trajectory.
     host_cpus: usize,
     /// Whether the engine actually ran points on more than one worker.
     parallel_engaged: bool,
-    /// Whether the two paths produced identical cycle totals.
-    identical: bool,
 }
 
 fn main() {
@@ -64,31 +49,8 @@ fn main() {
     let models = zoo::all_models();
 
     let t0 = Instant::now();
-    let mut serial_total = 0u64;
-    for npu in &npus {
-        for model in &models {
-            for name in scheme_names() {
-                let mut scheme = scheme_by_name(name).expect("lineup name");
-                serial_total =
-                    serial_total.wrapping_add(run_model(npu, model, scheme.as_mut()).total_cycles);
-            }
-        }
-    }
-    let serial = t0.elapsed();
-
-    let t1 = Instant::now();
-    let (evals, stats) = evaluate_suites_with_stats(&npus, &models);
-    let engine = t1.elapsed();
-
-    let engine_total: u64 = evals
-        .iter()
-        .flat_map(|e| &e.workloads)
-        .flat_map(|w| &w.outcomes)
-        .fold(0u64, |acc, o| acc.wrapping_add(o.run.total_cycles));
-    assert_eq!(
-        serial_total, engine_total,
-        "engine results must be bit-identical to the serial path"
-    );
+    let (_, stats) = evaluate_suites_with_stats(&npus, &models);
+    let engine = t0.elapsed();
 
     let host_cpus = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -101,13 +63,10 @@ fn main() {
         trace_hit_rate: round6(
             stats.trace_hits as f64 / (stats.trace_hits + stats.trace_misses).max(1) as f64,
         ),
-        serial_ms: round6(serial.as_secs_f64() * 1e3),
         engine_ms: round6(engine.as_secs_f64() * 1e3),
-        speedup: round6(serial.as_secs_f64() / engine.as_secs_f64()),
-        dram_replay_ms_per_point: round6(engine.as_secs_f64() * 1e3 / points as f64),
+        engine_ms_per_point: round6(engine.as_secs_f64() * 1e3 / points as f64),
         host_cpus,
         parallel_engaged: host_cpus > 1,
-        identical: serial_total == engine_total,
     };
 
     println!(
@@ -119,20 +78,8 @@ fn main() {
         record.trace_misses, record.trace_hits
     );
     println!(
-        "legacy serial path (simulate per point): {:8.2} ms",
-        record.serial_ms
-    );
-    println!(
-        "sweep engine (cached + parallel):        {:8.2} ms",
-        record.engine_ms
-    );
-    println!(
-        "speedup: {:.2}x (identical cycle totals verified)",
-        record.speedup
-    );
-    println!(
-        "engine replay cost: {:.2} ms/point (DRAM-replay dominated)",
-        record.dram_replay_ms_per_point
+        "sweep engine (cached + parallel): {:.2} ms, {:.2} ms/point",
+        record.engine_ms, record.engine_ms_per_point
     );
     println!(
         "host: {} CPU(s){}",
@@ -140,7 +87,7 @@ fn main() {
         if record.parallel_engaged {
             ""
         } else {
-            " — single-core host, speedup comes from trace reuse only"
+            " — single-core host, points run serially"
         }
     );
 

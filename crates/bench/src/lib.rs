@@ -1,5 +1,67 @@
 //! SeDA benchmark harness (see bins and benches).
 
+/// Every experiment binary in `src/bin/` except `seda_cli` itself, with a
+/// one-line description — the table `seda_cli list` prints. The paper
+/// figures and the scenario-driven ablations are not binaries: they run
+/// through `seda_cli scenario run <name>`.
+pub const EXPERIMENTS: &[(&str, &str)] = &[
+    (
+        "fig4_area_power",
+        "Fig. 4: T-AES vs B-AES area/power scaling",
+    ),
+    ("alg1_seca", "Algorithm 1: SECA attack and B-AES defense"),
+    (
+        "alg2_repa",
+        "Algorithm 2: RePA attack and position-bound defense",
+    ),
+    ("ablation_optblk", "per-layer optBlk search"),
+    ("ablation_layer_mac", "SeDA layer MACs on-chip vs off-chip"),
+    (
+        "ablation_securator",
+        "redundant hash work of layer-XOR checks",
+    ),
+    ("ablation_sram", "SRAM capacity sweep"),
+    ("ablation_dataflow", "OS vs WS dataflow"),
+    ("ablation_hash_engine", "verifier throughput sizing cliff"),
+    (
+        "ablation_steady_state",
+        "cold-start vs steady-state overheads",
+    ),
+    (
+        "layer_report",
+        "per-layer schedule/traffic/cycle drill-down",
+    ),
+    ("workloads_report", "13-workload census"),
+    ("gen_trace", "burst-trace export for a workload"),
+    ("replay_trace", "standalone replay of a burst-trace file"),
+    ("custom_topology", "run a user CSV topology"),
+    (
+        "sweep_bench",
+        "sweep-engine wall-clock and trace-cache reuse",
+    ),
+    (
+        "dram_bench",
+        "batched vs per-access DRAM replay, identity-gated",
+    ),
+    (
+        "serve_bench",
+        "multi-tenant serving event-kernel throughput",
+    ),
+    (
+        "stream_bench",
+        "sealed-model streaming GB/s and overlap efficiency",
+    ),
+    (
+        "telemetry_overhead",
+        "guard: telemetry cost on the headline sweep",
+    ),
+    (
+        "validate_sim",
+        "fast models vs cycle/command-level cross-check",
+    ),
+    ("experiments_md", "regenerate EXPERIMENTS.md"),
+];
+
 /// Rounds a benchmark float to six decimal places.
 ///
 /// The bench binaries archive their records as JSON artifacts; raw
@@ -14,7 +76,26 @@ pub fn round6(x: f64) -> f64 {
 
 #[cfg(test)]
 mod tests {
-    use super::round6;
+    use super::{round6, EXPERIMENTS};
+
+    #[test]
+    fn experiments_table_names_every_binary() {
+        let bin_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin");
+        let mut on_disk: Vec<String> = std::fs::read_dir(&bin_dir)
+            .expect("src/bin is readable")
+            .map(|entry| entry.expect("dir entry").path())
+            .filter(|path| path.extension().is_some_and(|ext| ext == "rs"))
+            .filter_map(|path| Some(path.file_stem()?.to_str()?.to_owned()))
+            .filter(|name| name != "seda_cli")
+            .collect();
+        on_disk.sort_unstable();
+        let mut listed: Vec<String> = EXPERIMENTS.iter().map(|(n, _)| (*n).to_owned()).collect();
+        listed.sort_unstable();
+        assert_eq!(
+            listed, on_disk,
+            "`seda_cli list` must name exactly src/bin/*"
+        );
+    }
 
     #[test]
     fn round6_strips_representation_noise() {

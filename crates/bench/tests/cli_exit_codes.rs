@@ -5,7 +5,8 @@
 //! serving ceilings must exit 5 while still writing the serving
 //! snapshot, and `seda_cli stream` must exit 3 on a malformed stream
 //! spec and 4 on a tampered block with the `seda-stream/v1` snapshot
-//! written before the nonzero exit. Each scenario-backed test spawns
+//! written before the nonzero exit, and an unwritable output path must
+//! exit 1 without a panic. Each scenario-backed test spawns
 //! the real binary against a private scenario registry under a temp
 //! directory (`SEDA_SCENARIOS`).
 
@@ -333,4 +334,28 @@ fn serve_without_a_serving_block_exits_3() {
         .output()
         .expect("seda_cli spawns");
     assert_eq!(out.status.code(), Some(3));
+}
+
+/// An output path that cannot be written is a clean error: exit 1 with
+/// the path and the I/O error on stderr, not a panic (exit 101).
+#[test]
+fn unwritable_telemetry_path_exits_1_without_panicking() {
+    let reg = TempRegistry::new("unwritable", &[]);
+    let telemetry = reg.path("missing-dir").join("t.json");
+    let out = reg
+        .cli()
+        .args([
+            "--telemetry",
+            telemetry.to_str().expect("utf-8 temp path"),
+            "workloads",
+        ])
+        .output()
+        .expect("seda_cli spawns");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr:\n{stderr}");
+    assert!(!stderr.contains("panicked"), "stderr:\n{stderr}");
+    assert!(
+        stderr.contains("t.json"),
+        "stderr must name the path:\n{stderr}"
+    );
 }

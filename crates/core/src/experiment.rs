@@ -87,14 +87,8 @@ impl Evaluation {
 /// exactly once and shared across all six schemes, and points execute in
 /// parallel with results in deterministic lineup order.
 pub fn evaluate(npu: &NpuConfig, models: &[Model]) -> Evaluation {
-    evaluate_with_stats(npu, models).0
-}
-
-/// [`evaluate`], additionally reporting trace-cache statistics — the
-/// number of `simulate_model` calls the sweep actually performed.
-pub fn evaluate_with_stats(npu: &NpuConfig, models: &[Model]) -> (Evaluation, SweepStats) {
     let results = lineup_sweep(std::slice::from_ref(npu), models).run();
-    (evaluation_of(&results, 0), results.stats)
+    evaluation_of(&results, 0)
 }
 
 /// Evaluates `models` under the full lineup on several NPUs as *one*
@@ -295,7 +289,7 @@ mod tests {
         // The Fig. 5/6 path must run tiling + burst generation once per
         // distinct (NPU, model) pair, not once per scheme.
         let models = vec![zoo::lenet(), zoo::dlrm()];
-        let (_, stats) = evaluate_with_stats(&NpuConfig::edge(), &models);
+        let stats = lineup_sweep(&[NpuConfig::edge()], &models).run().stats;
         assert_eq!(stats.trace_misses, models.len() as u64);
         assert_eq!(
             stats.trace_hits,

@@ -53,15 +53,11 @@ pub mod sweep;
 
 pub use error::SedaError;
 pub use experiment::{
-    evaluate, evaluate_paper_suite, evaluate_suites, evaluate_suites_dram_mapped,
-    evaluate_with_stats, evaluations_of, partial_evaluations_of, Evaluation,
+    evaluate, evaluate_paper_suite, evaluate_suites, evaluate_suites_dram_mapped, evaluations_of,
+    partial_evaluations_of, Evaluation,
 };
 pub use functional::{run_protected, run_reference, IntegrityViolation, SecureMemory};
-pub use pipeline::{
-    dram_config_for, run_model, run_model_repeated, run_model_repeated_with_verifier,
-    run_model_with_verifier, run_spec, run_trace, try_run_trace, try_run_trace_with_dram,
-    LoweredTrace, RunResult, RunSpec,
-};
+pub use pipeline::{dram_config_for, run_model, run_trace, try_run_trace, LoweredTrace, RunResult};
 pub use resilience::{
     load_journal, FailurePolicy, FailureReport, FaultHook, JournalContents, JournalHeader,
     JournalWriter, PointContext, PointFailure, PointReport, CHECKPOINT_SCHEMA,

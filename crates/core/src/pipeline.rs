@@ -6,13 +6,15 @@
 //! simulator; per-layer runtime is the maximum of compute and memory time
 //! under double buffering.
 //!
-//! All entry points funnel into one kernel, [`run_trace`], parameterized
-//! by a [`RunSpec`]: single runs, verifier-modelled runs, and repeated
-//! steady-state runs are the same loop with different spec fields. The
-//! kernel consumes a pre-simulated trace (`&ModelSim`), so callers that
-//! evaluate many schemes over the same (NPU, model) pair — the [`Sweep`]
-//! engine, notably — share one simulation via
-//! [`seda_scalesim::TraceCache`].
+//! There are three entry points and one kernel. [`try_run_trace`] is the
+//! kernel: single runs, verifier-modelled runs, repeated steady-state
+//! runs and DRAM-override runs are the same loop with different
+//! arguments. [`run_trace`] is its infallible form with the NPU's default
+//! DRAM configuration, and [`run_model`] simulates the trace itself for a
+//! single cold inference. The kernel consumes a pre-simulated trace
+//! (`&ModelSim`), so callers that evaluate many schemes over the same
+//! (NPU, model) pair — the [`Sweep`] engine, notably — share one
+//! simulation via [`seda_scalesim::TraceCache`].
 //!
 //! [`Sweep`]: crate::sweep::Sweep
 
@@ -29,7 +31,7 @@ use serde::{Deserialize, Serialize};
 /// Exposed so callers that need a perturbed memory system — the
 /// golden-figure sensitivity self-tests, ablation sweeps — can start from
 /// the exact configuration the default pipeline would use and hand the
-/// modified copy to [`try_run_trace_with_dram`] or
+/// modified copy to [`try_run_trace`] or
 /// [`Sweep::dram_map`](crate::sweep::Sweep::dram_map).
 pub fn dram_config_for(npu: &NpuConfig) -> DramConfig {
     DramConfig::ddr4_with_bandwidth(npu.dram_channels, npu.dram_bandwidth)
@@ -176,83 +178,41 @@ impl RunResult {
     }
 }
 
-/// Everything that defines one pipeline run except the scheme instance:
-/// the workload, the accelerator, the optional integrity verifier, and
-/// how many back-to-back inferences to model.
+/// Runs one cold inference of `model` on `npu` under `scheme` and reports
+/// traffic and runtime.
+///
+/// Convenience wrapper over [`run_trace`] for one-off runs: it simulates
+/// the trace itself. Callers that evaluate many schemes over the same
+/// (NPU, model) pair should simulate once (or use a
+/// [`seda_scalesim::TraceCache`]) and call [`run_trace`] per scheme.
 ///
 /// # Examples
 ///
 /// ```
-/// use seda::pipeline::{run_spec, RunSpec};
+/// use seda::pipeline::run_model;
 /// use seda_models::zoo;
 /// use seda_protect::Unprotected;
 /// use seda_scalesim::NpuConfig;
 ///
-/// let npu = NpuConfig::edge();
-/// let model = zoo::lenet();
-/// let spec = RunSpec::new(&npu, &model).repeats(3);
-/// let runs = run_spec(&spec, &mut Unprotected::new());
-/// assert_eq!(runs.len(), 3);
+/// let r = run_model(&NpuConfig::edge(), &zoo::lenet(), &mut Unprotected::new());
+/// assert!(r.total_cycles > 0);
 /// ```
-#[derive(Debug, Clone, Copy)]
-pub struct RunSpec<'a> {
-    /// Accelerator configuration.
-    pub npu: &'a NpuConfig,
-    /// Workload.
-    pub model: &'a Model,
-    /// Integrity-verification engine to model, if any.
-    pub verifier: Option<HashEngine>,
-    /// Number of back-to-back inferences (scheme metadata caches and DRAM
-    /// bank state persist across them). Must be at least 1.
-    pub repeats: u32,
+pub fn run_model(npu: &NpuConfig, model: &Model, scheme: &mut dyn ProtectionScheme) -> RunResult {
+    let sim = simulate_model(npu, model);
+    // Invariant: the kernel returns exactly `repeats` results, here one.
+    #[allow(clippy::expect_used)]
+    let result = run_trace(&sim, npu, scheme, None, 1)
+        .pop()
+        .expect("kernel returns one result per inference");
+    result
 }
 
-impl<'a> RunSpec<'a> {
-    /// A single-inference spec with no verifier.
-    pub fn new(npu: &'a NpuConfig, model: &'a Model) -> Self {
-        Self {
-            npu,
-            model,
-            verifier: None,
-            repeats: 1,
-        }
-    }
-
-    /// Models the integrity-verification engine during each layer.
-    pub fn verifier(mut self, engine: HashEngine) -> Self {
-        self.verifier = Some(engine);
-        self
-    }
-
-    /// Sets the number of back-to-back inferences.
-    pub fn repeats(mut self, n: u32) -> Self {
-        self.repeats = n;
-        self
-    }
-}
-
-/// Simulates the trace for `spec` and replays it through `scheme`.
-///
-/// Convenience wrapper over [`run_trace`] for one-off runs; sweep-style
-/// callers should simulate once (or use a [`seda_scalesim::TraceCache`])
-/// and call [`run_trace`] per scheme.
-pub fn run_spec(spec: &RunSpec<'_>, scheme: &mut dyn ProtectionScheme) -> Vec<RunResult> {
-    let sim = simulate_model(spec.npu, spec.model);
-    run_trace(&sim, spec.npu, scheme, spec.verifier.as_ref(), spec.repeats)
-}
-
-/// The single simulation kernel behind every run entry point.
-///
 /// Replays `repeats` back-to-back inferences of a pre-simulated burst
-/// trace through `scheme` and the DRAM simulator, returning one
-/// [`RunResult`] per inference. Per layer, runtime is
-/// `max(compute, memory)` under double buffering; with a `verifier`,
-/// every fetched byte additionally streams through the hash engine, so an
-/// undersized verifier (throughput below memory bandwidth) becomes the
-/// layer bottleneck and each layer pays the engine's drain latency once.
-/// Scheme metadata caches and DRAM bank state persist across inferences
-/// (steady-state behaviour); the final metadata flush is charged to the
-/// last inference.
+/// trace through `scheme` and the DRAM configuration [`dram_config_for`]
+/// derives from `npu`, returning one [`RunResult`] per inference.
+///
+/// Infallible form of [`try_run_trace`], which documents the timing
+/// model.
 ///
 /// # Examples
 ///
@@ -284,14 +244,29 @@ pub fn run_trace(
     // asserted here so existing callers keep their panic contract.
     assert!(repeats > 0, "need at least one inference");
     #[allow(clippy::expect_used)]
-    let results = try_run_trace(sim, npu, scheme, verifier, repeats).expect("repeats > 0");
+    let results = try_run_trace(sim, npu, scheme, verifier, repeats, dram_config_for(npu))
+        .expect("repeats > 0");
     results
 }
 
-/// Fallible form of [`run_trace`]: a malformed spec surfaces as
-/// [`SedaError::InvalidSpec`] instead of a panic. The sweep engine and the
-/// adversary harness use this form so that a bad point degrades into a
-/// captured error rather than tearing down the whole evaluation.
+/// The single simulation kernel behind every run entry point.
+///
+/// Replays `repeats` back-to-back inferences of a pre-simulated burst
+/// trace through `scheme` and a fresh DRAM simulator built from `dram`,
+/// returning one [`RunResult`] per inference. Per layer, runtime is
+/// `max(compute, memory)` under double buffering; with a `verifier`,
+/// every fetched byte additionally streams through the hash engine, so an
+/// undersized verifier (throughput below memory bandwidth) becomes the
+/// layer bottleneck and each layer pays the engine's drain latency once.
+/// Scheme metadata caches and DRAM bank state persist across inferences
+/// (steady-state behaviour); the final metadata flush is charged to the
+/// last inference.
+///
+/// `dram` is normally [`dram_config_for`]`(npu)`; passing a modified copy
+/// is the injection point for memory-system ablations (the golden-figure
+/// suite's one-cycle burst-length perturbation, scenario DRAM overrides).
+/// A malformed request surfaces as a typed error instead of a panic, so
+/// the sweep engine can degrade a bad point into a captured failure.
 ///
 /// # Errors
 ///
@@ -302,56 +277,14 @@ pub fn try_run_trace(
     scheme: &mut dyn ProtectionScheme,
     verifier: Option<&HashEngine>,
     repeats: u32,
-) -> Result<Vec<RunResult>, SedaError> {
-    try_run_trace_with_dram(sim, npu, scheme, verifier, repeats, dram_config_for(npu))
-}
-
-/// [`try_run_trace`] with an explicit DRAM configuration instead of the
-/// one [`dram_config_for`] derives from the NPU.
-///
-/// This is the injection point for memory-system ablations: the
-/// golden-figure suite replays the pinned workloads with a one-cycle
-/// burst-length (and refresh-window) perturbation to prove the fixtures
-/// actually pin the DRAM timing path.
-///
-/// # Errors
-///
-/// Returns [`SedaError::InvalidSpec`] when `repeats == 0`.
-pub fn try_run_trace_with_dram(
-    sim: &ModelSim,
-    npu: &NpuConfig,
-    scheme: &mut dyn ProtectionScheme,
-    verifier: Option<&HashEngine>,
-    repeats: u32,
-    dram_cfg: DramConfig,
-) -> Result<Vec<RunResult>, SedaError> {
-    try_run_trace_with_dram_sim(sim, npu, scheme, verifier, repeats, DramSim::new(dram_cfg))
-}
-
-/// [`try_run_trace_with_dram`] with a fully constructed simulator instead
-/// of a configuration — the injection point for simulator-level knobs that
-/// are not part of [`DramConfig`], such as the batched replay's worker cap
-/// ([`DramSim::set_replay_threads`], which
-/// [`Sweep::dram_replay_threads`](crate::sweep::Sweep::dram_replay_threads)
-/// threads through here). The simulator should be freshly constructed;
-/// pre-existing bank or clock state would be charged to this run.
-///
-/// # Errors
-///
-/// Returns [`SedaError::InvalidSpec`] when `repeats == 0`.
-pub fn try_run_trace_with_dram_sim(
-    sim: &ModelSim,
-    npu: &NpuConfig,
-    scheme: &mut dyn ProtectionScheme,
-    verifier: Option<&HashEngine>,
-    repeats: u32,
-    mut dram: DramSim,
+    dram: DramConfig,
 ) -> Result<Vec<RunResult>, SedaError> {
     if repeats == 0 {
         return Err(SedaError::InvalidSpec {
             reason: "need at least one inference (repeats == 0)".to_owned(),
         });
     }
+    let mut dram = DramSim::new(dram);
     let mem_clock = dram.config().clock_hz;
 
     // One flat request buffer for the whole run: each inference lowers
@@ -418,75 +351,6 @@ pub fn try_run_trace_with_dram_sim(
     dram.emit_telemetry();
 
     Ok(results)
-}
-
-/// Runs `model` on `npu` under `scheme` and reports traffic and runtime.
-///
-/// # Examples
-///
-/// ```
-/// use seda::pipeline::run_model;
-/// use seda_models::zoo;
-/// use seda_protect::Unprotected;
-/// use seda_scalesim::NpuConfig;
-///
-/// let r = run_model(&NpuConfig::edge(), &zoo::lenet(), &mut Unprotected::new());
-/// assert!(r.total_cycles > 0);
-/// ```
-pub fn run_model(npu: &NpuConfig, model: &Model, scheme: &mut dyn ProtectionScheme) -> RunResult {
-    run_model_with_verifier(npu, model, scheme, None)
-}
-
-/// Like [`run_model`], additionally modelling the integrity-verification
-/// engine: every fetched byte streams through the hash engine, so an
-/// undersized verifier (throughput below memory bandwidth) becomes the
-/// layer bottleneck, and each layer pays the engine's drain latency once.
-pub fn run_model_with_verifier(
-    npu: &NpuConfig,
-    model: &Model,
-    scheme: &mut dyn ProtectionScheme,
-    verifier: Option<&HashEngine>,
-) -> RunResult {
-    let mut spec = RunSpec::new(npu, model);
-    spec.verifier = verifier.copied();
-    // Invariant: the kernel returns exactly `repeats` results and the
-    // spec above fixes `repeats = 1`.
-    #[allow(clippy::expect_used)]
-    let result = run_spec(&spec, scheme)
-        .pop()
-        .expect("kernel returns one result per inference");
-    result
-}
-
-/// Runs `n` back-to-back inferences without resetting the scheme's
-/// metadata caches or the DRAM bank state, exposing steady-state behaviour
-/// (warm metadata caches, amortized flushes). Returns per-inference total
-/// cycles; pass a `verifier` to model the integrity engine throughout.
-pub fn run_model_repeated(
-    npu: &NpuConfig,
-    model: &Model,
-    scheme: &mut dyn ProtectionScheme,
-    n: u32,
-) -> Vec<u64> {
-    run_model_repeated_with_verifier(npu, model, scheme, None, n)
-}
-
-/// [`run_model_repeated`] with the integrity-verification engine modelled
-/// on every inference — steady-state and verifier analysis combined,
-/// which the pre-unification pipeline could not express.
-pub fn run_model_repeated_with_verifier(
-    npu: &NpuConfig,
-    model: &Model,
-    scheme: &mut dyn ProtectionScheme,
-    verifier: Option<&HashEngine>,
-    n: u32,
-) -> Vec<u64> {
-    let mut spec = RunSpec::new(npu, model).repeats(n);
-    spec.verifier = verifier.copied();
-    run_spec(&spec, scheme)
-        .into_iter()
-        .map(|r| r.total_cycles)
-        .collect()
 }
 
 #[cfg(test)]
@@ -560,8 +424,15 @@ mod tests {
         let npu = NpuConfig::edge();
         let m = zoo::lenet();
         let sim = simulate_model(&npu, &m);
-        let err = try_run_trace(&sim, &npu, &mut Unprotected::new(), None, 0)
-            .expect_err("zero repeats is malformed");
+        let err = try_run_trace(
+            &sim,
+            &npu,
+            &mut Unprotected::new(),
+            None,
+            0,
+            dram_config_for(&npu),
+        )
+        .expect_err("zero repeats is malformed");
         assert!(matches!(err, SedaError::InvalidSpec { .. }));
         assert!(err.to_string().contains("repeats"));
     }
@@ -597,8 +468,8 @@ mod tests {
         let npu = NpuConfig::edge();
         let m = zoo::lenet();
         let sim = simulate_model(&npu, &m);
-        let implicit = try_run_trace(&sim, &npu, &mut Unprotected::new(), None, 2).unwrap();
-        let explicit = try_run_trace_with_dram(
+        let implicit = run_trace(&sim, &npu, &mut Unprotected::new(), None, 2);
+        let explicit = try_run_trace(
             &sim,
             &npu,
             &mut Unprotected::new(),
@@ -617,11 +488,10 @@ mod tests {
         let npu = NpuConfig::edge();
         let m = zoo::lenet();
         let sim = simulate_model(&npu, &m);
-        let base = try_run_trace(&sim, &npu, &mut Unprotected::new(), None, 1).unwrap();
+        let base = run_trace(&sim, &npu, &mut Unprotected::new(), None, 1);
         let mut cfg = dram_config_for(&npu);
         cfg.t_bl += 1;
-        let slower =
-            try_run_trace_with_dram(&sim, &npu, &mut Unprotected::new(), None, 1, cfg).unwrap();
+        let slower = try_run_trace(&sim, &npu, &mut Unprotected::new(), None, 1, cfg).unwrap();
         assert!(
             slower[0].total_cycles > base[0].total_cycles,
             "a longer burst must slow the memory-bound layers"
@@ -642,6 +512,23 @@ mod tests {
     }
 }
 
+/// Total cycles of each of `n` back-to-back inferences of `m` on the edge
+/// NPU.
+#[cfg(test)]
+fn edge_totals(
+    m: &Model,
+    scheme: &mut dyn ProtectionScheme,
+    verifier: Option<&HashEngine>,
+    n: u32,
+) -> Vec<u64> {
+    let npu = NpuConfig::edge();
+    let sim = simulate_model(&npu, m);
+    run_trace(&sim, &npu, scheme, verifier, n)
+        .iter()
+        .map(|r| r.total_cycles)
+        .collect()
+}
+
 #[cfg(test)]
 mod verifier_tests {
     use super::*;
@@ -650,46 +537,39 @@ mod verifier_tests {
 
     #[test]
     fn adequate_verifier_adds_only_drain_latency() {
-        let npu = NpuConfig::edge();
         let m = zoo::lenet();
-        let plain = run_model(&npu, &m, &mut Unprotected::new());
         let engine = HashEngine::default();
-        let verified = run_model_with_verifier(&npu, &m, &mut Unprotected::new(), Some(&engine));
+        let plain = edge_totals(&m, &mut Unprotected::new(), None, 1)[0];
+        let verified = edge_totals(&m, &mut Unprotected::new(), Some(&engine), 1)[0];
         let max_extra = m.layers().len() as u64 * engine.layer_check_exposure();
-        assert!(verified.total_cycles >= plain.total_cycles);
+        assert!(verified >= plain);
         assert!(
-            verified.total_cycles <= plain.total_cycles + max_extra,
+            verified <= plain + max_extra,
             "a well-sized verifier must stay off the critical path"
         );
     }
 
     #[test]
     fn undersized_verifier_becomes_the_bottleneck() {
-        let npu = NpuConfig::edge();
         let m = zoo::alexnet();
         let fast = HashEngine::new(32.0, 80);
         let slow = HashEngine::new(0.25, 80);
-        let quick = run_model_with_verifier(&npu, &m, &mut Unprotected::new(), Some(&fast));
-        let choked = run_model_with_verifier(&npu, &m, &mut Unprotected::new(), Some(&slow));
+        let quick = edge_totals(&m, &mut Unprotected::new(), Some(&fast), 1)[0];
+        let choked = edge_totals(&m, &mut Unprotected::new(), Some(&slow), 1)[0];
         assert!(
-            choked.total_cycles > 2 * quick.total_cycles,
-            "0.25 B/cycle must choke a 10 GB/s stream: {} vs {}",
-            choked.total_cycles,
-            quick.total_cycles
+            choked > 2 * quick,
+            "0.25 B/cycle must choke a 10 GB/s stream: {choked} vs {quick}"
         );
     }
 
     #[test]
     fn repeated_runs_accept_a_verifier() {
-        // The pre-unification pipeline could not model a verifier during
-        // steady-state runs; the unified kernel must.
-        let npu = NpuConfig::edge();
         let m = zoo::lenet();
         let engine = HashEngine::new(0.25, 80);
         let mut sgx = BlockMacScheme::new(BlockMacKind::Sgx, 64, 16 << 30);
-        let choked = run_model_repeated_with_verifier(&npu, &m, &mut sgx, Some(&engine), 3);
+        let choked = edge_totals(&m, &mut sgx, Some(&engine), 3);
         let mut sgx2 = BlockMacScheme::new(BlockMacKind::Sgx, 64, 16 << 30);
-        let plain = run_model_repeated(&npu, &m, &mut sgx2, 3);
+        let plain = edge_totals(&m, &mut sgx2, None, 3);
         assert_eq!(choked.len(), 3);
         for (c, p) in choked.iter().zip(&plain) {
             assert!(c > p, "verifier must slow every inference: {c} vs {p}");
@@ -705,10 +585,8 @@ mod repeated_tests {
 
     #[test]
     fn steady_state_is_no_slower_than_cold_start() {
-        let npu = NpuConfig::edge();
-        let m = zoo::ncf();
         let mut sgx = BlockMacScheme::new(BlockMacKind::Sgx, 64, 16 << 30);
-        let totals = run_model_repeated(&npu, &m, &mut sgx, 4);
+        let totals = edge_totals(&zoo::ncf(), &mut sgx, None, 4);
         assert_eq!(totals.len(), 4);
         // The first inference runs with cold (empty) caches and defers its
         // dirty evictions; steady state pays those writebacks, so later
@@ -723,32 +601,7 @@ mod repeated_tests {
 
     #[test]
     fn baseline_is_stable_across_inferences() {
-        let npu = NpuConfig::edge();
-        let m = zoo::lenet();
-        let totals = run_model_repeated(&npu, &m, &mut Unprotected::new(), 3);
+        let totals = edge_totals(&zoo::lenet(), &mut Unprotected::new(), None, 3);
         assert_eq!(totals[1], totals[2], "no state to warm up: {totals:?}");
-    }
-
-    #[test]
-    fn repeated_first_inference_matches_single_run() {
-        // One kernel for all entry points: the first of n inferences must
-        // be bit-identical to a standalone run (before the final drain).
-        let npu = NpuConfig::edge();
-        let m = zoo::lenet();
-        let totals = run_model_repeated(
-            &npu,
-            &m,
-            &mut BlockMacScheme::new(BlockMacKind::Sgx, 64, 16 << 30),
-            3,
-        );
-        let spec = RunSpec::new(&npu, &m).repeats(3);
-        let runs = run_spec(
-            &spec,
-            &mut BlockMacScheme::new(BlockMacKind::Sgx, 64, 16 << 30),
-        );
-        assert_eq!(
-            totals,
-            runs.iter().map(|r| r.total_cycles).collect::<Vec<_>>()
-        );
     }
 }

@@ -36,12 +36,12 @@
 //! ```
 
 use crate::error::SedaError;
-use crate::pipeline::{dram_config_for, try_run_trace_with_dram_sim, RunResult};
+use crate::pipeline::{dram_config_for, try_run_trace, RunResult};
 use crate::resilience::{
     AttemptRecord, FailurePolicy, FailureReport, FaultHook, PointContext, PointFailure,
     PointReport, PointSink,
 };
-use seda_dram::{DramConfig, DramSim};
+use seda_dram::DramConfig;
 use seda_models::Model;
 use seda_protect::{HashEngine, ProtectionScheme};
 use seda_scalesim::{NpuConfig, TraceCache};
@@ -296,7 +296,6 @@ pub struct Sweep {
     repeats: u32,
     threads: Option<usize>,
     dram_map: Option<DramMap>,
-    dram_replay_threads: Option<usize>,
     policy: FailurePolicy,
     point_budget_ms: Option<u64>,
     fault_hook: Option<FaultHook>,
@@ -426,18 +425,6 @@ impl Sweep {
             });
         }
         Ok(self.threads(n))
-    }
-
-    /// Caps the worker threads the DRAM simulator may shard each point's
-    /// batched replay across ([`DramSim::set_replay_threads`]); `1`
-    /// forces serial replay, `0` is clamped to `1`. Defaults to the
-    /// simulator's automatic sizing. Replay results are bit-identical at
-    /// any setting, so this is purely a host-resource knob — useful to
-    /// keep a parallel sweep from oversubscribing cores with per-point
-    /// replay workers.
-    pub fn dram_replay_threads(mut self, n: usize) -> Self {
-        self.dram_replay_threads = Some(n.max(1));
-        self
     }
 
     /// Forces serial in-order execution on the calling thread.
@@ -629,17 +616,13 @@ impl Sweep {
                 Some(map) => map(npu),
                 None => dram_config_for(npu),
             };
-            let mut dram = DramSim::new(dram_cfg);
-            if let Some(n) = self.dram_replay_threads {
-                dram.set_replay_threads(n);
-            }
-            try_run_trace_with_dram_sim(
+            try_run_trace(
                 &sim,
                 npu,
                 scheme.as_mut(),
                 self.verifier.as_ref(),
                 self.repeats,
-                dram,
+                dram_cfg,
             )
         }))
         .unwrap_or_else(|payload| Err(panic_to_error(self.point_label(idx), payload)))
@@ -683,7 +666,6 @@ impl Sweep {
         let ctx = self.point_context(idx, attempt);
         let verifier = self.verifier;
         let repeats = self.repeats;
-        let replay_threads = self.dram_replay_threads;
         let npu = npu.clone();
         let worker_point = point.clone();
         let (tx, rx) = mpsc::sync_channel(1);
@@ -695,17 +677,13 @@ impl Sweep {
                         hook(&ctx)?;
                     }
                     let mut scheme = build();
-                    let mut dram = DramSim::new(dram_cfg);
-                    if let Some(n) = replay_threads {
-                        dram.set_replay_threads(n);
-                    }
-                    try_run_trace_with_dram_sim(
+                    try_run_trace(
                         &sim,
                         &npu,
                         scheme.as_mut(),
                         verifier.as_ref(),
                         repeats,
-                        dram,
+                        dram_cfg,
                     )
                 }))
                 .unwrap_or_else(|payload| Err(panic_to_error(worker_point, payload)));
@@ -1221,22 +1199,5 @@ mod tests {
             .scheme("baseline")
             .resume_from(vec![None, None])
             .run();
-    }
-
-    #[test]
-    fn dram_replay_thread_cap_is_bit_identical() {
-        // The replay worker cap is a host-resource knob, not a model
-        // parameter: any setting (including the 0 -> 1 clamp) must leave
-        // every result bit-identical.
-        let base = headline_sweep().serial().run();
-        for cap in [0usize, 1, 4] {
-            let capped = headline_sweep().serial().dram_replay_threads(cap).run();
-            for (b, c) in base.iter().zip(capped.iter()) {
-                for (br, cr) in b.3.iter().zip(c.3.iter()) {
-                    assert_eq!(br.total_cycles, cr.total_cycles, "cap={cap}");
-                    assert_eq!(br.dram, cr.dram, "cap={cap}");
-                }
-            }
-        }
     }
 }

@@ -12,7 +12,7 @@
 //! `SimSpec`s directly, so the brute-force reference stays tractable.
 
 use crate::rng::Rng;
-use seda::pipeline::{dram_config_for, try_run_trace_with_dram};
+use seda::pipeline::{dram_config_for, try_run_trace};
 use seda::scenario::{ArrivalSpec, Scenario, ScenarioError, ServingSpec};
 use seda::SedaError;
 use seda_adversary::{ProtectConfig, ProtectedImage};
@@ -479,7 +479,7 @@ pub fn build(scenario: &Scenario) -> Result<ServeSetup, SedaError> {
      -> Result<Vec<Vec<u64>>, SedaError> {
         let trace = cache.get_or_simulate(&npu, model);
         let mut scheme = scheme_spec.instantiate()?;
-        let runs = try_run_trace_with_dram(
+        let runs = try_run_trace(
             &trace,
             &npu,
             scheme.as_mut(),

@@ -1,5 +1,7 @@
-//! JSON serialization round-trips for the result types the experiment
-//! dumps rely on (`fig5_memory_traffic <path>` writes these to disk).
+//! JSON serialization round-trips for the result types written to disk:
+//! `RunResult`s go into the `seda-checkpoint/v1` journal
+//! (`seda_cli scenario run <name> --journal <path>`), and the other types
+//! are the public serde surface of evaluations, models and traces.
 
 use seda::experiment::evaluate;
 use seda::pipeline::run_model;
