@@ -178,18 +178,15 @@ fn main() {
     println!("## Sealed-model streaming throughput (beyond the paper)");
     println!();
     println!("Provisioning a sealed model through `seda-stream`'s chunked");
-    println!("encrypt-then-MAC pipeline: each row seals the model's image");
-    println!("geometry, then unseals it with transport crypto overlapped against");
-    println!("packed DRAM replay of the layer write-out (double-buffered; the");
-    println!("serial column is the crypto-then-replay baseline). Bytes, blocks,");
-    println!("and replay cycles are deterministic; GB/s is host wall-clock and");
+    println!("encrypt-then-MAC streams: each row seals the model's image");
+    println!("geometry, unseals it (verify, then install), and replays the layer");
+    println!("write-out through packed DRAM writes. Bytes, blocks, and replay");
+    println!("cycles are deterministic; GB/s is host wall-clock and");
     println!("varies by machine — `stream_bench` pins the gated figure in");
     println!("`BENCH_stream.json` on every CI run.");
     println!();
-    println!(
-        "| model | payload bytes | blocks | replay cycles | GB/s sustained | overlap efficiency |"
-    );
-    println!("|---|---|---|---|---|---|");
+    println!("| model | payload bytes | blocks | replay cycles | GB/s sustained |");
+    println!("|---|---|---|---|---|");
     for name in ["let", "rest", "trf"] {
         let model = seda::models::zoo::by_name(name).expect("zoo model");
         let spec = seda_stream::StreamSpec {
@@ -215,12 +212,8 @@ fn main() {
         let dram = seda::dram::DramConfig::ddr4_with_bandwidth(1, 16.0e9);
         let run = seda_stream::measure(&spec, stream.bytes(), &dram).expect("unseal");
         println!(
-            "| {name} | {} | {} | {} | {:.4} | {:.2} |",
-            run.payload_bytes,
-            run.blocks,
-            run.replay_cycles,
-            run.gbps_sustained,
-            run.overlap_efficiency
+            "| {name} | {} | {} | {} | {:.4} |",
+            run.payload_bytes, run.blocks, run.replay_cycles, run.gbps_sustained
         );
     }
     println!();

@@ -41,11 +41,11 @@ fn usage() -> ! {
     eprintln!("                       when a tenant latency ceiling is violated");
     eprintln!("  stream <model> [--json <out.json>] [--lens <b0,b1,..>] [--flip <byte>]");
     eprintln!("                       seal the model into a provisioning stream");
-    eprintln!("                       and unseal it through the double-buffered");
-    eprintln!("                       pipeline (sustained GB/s report; --flip");
-    eprintln!("                       corrupts one stream byte first — the");
-    eprintln!("                       tampered stream exits 4 with the");
-    eprintln!("                       seda-stream/v1 snapshot still written)");
+    eprintln!("                       and unseal it, replaying the layer");
+    eprintln!("                       write-out through DRAM (sustained GB/s");
+    eprintln!("                       report; --flip corrupts one stream byte");
+    eprintln!("                       first — the tampered stream exits 4 with");
+    eprintln!("                       the seda-stream/v2 snapshot still written)");
     eprintln!("  run <wl> <npu> <scheme> [n]   n secure inferences (default 1)");
     eprintln!("  quickstart           functional + timing demo on LeNet");
     eprintln!("  workloads            list workload names");
@@ -257,7 +257,7 @@ fn serve_cmd(args: &[String]) -> i32 {
     0
 }
 
-/// Serializes a stream provisioning outcome as the `seda-stream/v1`
+/// Serializes a stream provisioning outcome as the `seda-stream/v2`
 /// snapshot — written even for rejected streams, before the nonzero
 /// exit, so CI can archive the post-mortem.
 fn stream_snapshot(
@@ -265,7 +265,7 @@ fn stream_snapshot(
     spec: &seda_stream::StreamSpec,
     result: Result<&seda_stream::UnsealRun, &seda::SedaError>,
 ) -> String {
-    let mut out = String::from("{\n  \"schema\": \"seda-stream/v1\",\n");
+    let mut out = String::from("{\n  \"schema\": \"seda-stream/v2\",\n");
     out.push_str(&format!("  \"model\": \"{model}\",\n"));
     out.push_str(&format!("  \"config\": \"{}\",\n", spec.config.name));
     out.push_str(&format!("  \"layers\": {},\n", spec.lens.len()));
@@ -277,10 +277,6 @@ fn stream_snapshot(
             out.push_str(&format!(
                 "  \"gbps_sustained\": {:.6},\n",
                 run.gbps_sustained
-            ));
-            out.push_str(&format!(
-                "  \"overlap_efficiency\": {:.6},\n",
-                run.overlap_efficiency
             ));
             out.push_str(&format!("  \"replay_cycles\": {}\n", run.replay_cycles));
         }
@@ -297,8 +293,8 @@ fn stream_snapshot(
 }
 
 /// `stream <model> [--json <out.json>] [--lens <b0,b1,..>] [--flip <byte>]`:
-/// seals a zoo model into a provisioning stream and unseals it through
-/// the double-buffered pipeline, reporting sustained GB/s. A malformed
+/// seals a zoo model into a provisioning stream, unseals it and replays
+/// the layer write-out through DRAM, reporting sustained GB/s. A malformed
 /// stream spec (unknown model, unparsable or non-64-multiple `--lens`)
 /// exits 3; a tampered block (`--flip` corrupts one stream byte) exits 4
 /// with the typed rejection on stderr and the snapshot written first.
@@ -379,9 +375,8 @@ fn stream_cmd(args: &[String]) -> i32 {
                 spec.config.name
             );
             println!(
-                "  pipelined unseal: {:.3} GB/s sustained, {:.2}x overlap \
-                 efficiency vs serial, {} DRAM replay cycles",
-                run.gbps_sustained, run.overlap_efficiency, run.replay_cycles
+                "  unseal: {:.3} GB/s sustained, {} DRAM replay cycles",
+                run.gbps_sustained, run.replay_cycles
             );
             if let Some(path) = json_path {
                 let snap = stream_snapshot(model.name(), &spec, Ok(&run));

@@ -1,26 +1,33 @@
-//! Throughput benchmark for the `seda-stream` provisioning pipeline.
+//! Throughput benchmark for `seda-stream` provisioning.
 //!
-//! Seals a zoo model (default: the 37-layer transformer, tiled by
-//! `--layers`) into an authenticated provisioning stream, then
-//! unseals it twice through [`seda_stream::measure`] — the
-//! double-buffered crypto/DRAM-replay pipeline plus its serial
-//! baseline. The two unseals must land on bit-identical images (root
-//! and ciphertext; wall-clock is allowed to differ), and the second
-//! run's sustained GB/s and overlap efficiency are recorded in
-//! `BENCH_stream.json` so CI can archive the provisioning-path perf
-//! trajectory PR over PR.
+//! Seals the 37-layer transformer's image geometry, tiled
+//! [`REPEAT_LAYERS`] times, into an authenticated provisioning stream,
+//! then provisions it twice through [`seda_stream::measure`] — verify,
+//! install, and replay the layer write-out through DRAM. The two runs
+//! must land on bit-identical images (root and ciphertext; wall-clock
+//! is allowed to differ), and the second run's sustained GB/s is
+//! recorded in `BENCH_stream.json` so CI can archive the
+//! provisioning-path perf trajectory.
 //!
 //! With `--min-gbps <g>` the run additionally acts as a regression
 //! gate: sustained throughput below the floor fails the process.
+//! A malformed command line exits 2 with a usage line.
 //!
 //! Usage: `cargo run --release -p seda-bench --bin stream_bench --
-//! [out.json] [--model <name>] [--layers <n>] [--min-gbps <g>]`
+//! [out.json] [--min-gbps <g>]`
 
 use seda::models::zoo;
 use seda_adversary::ProtectConfig;
 use seda_bench::round6;
 use seda_stream::{measure, model_lens, seal, StreamSpec};
 use serde::Serialize;
+
+/// Zoo model whose sealed geometry is streamed.
+const MODEL: &str = "trf";
+
+/// Times the model's geometry is tiled, so the stream is long enough
+/// for a stable wall-clock.
+const REPEAT_LAYERS: usize = 4;
 
 /// Machine-readable record of one stream-bench run.
 #[derive(Serialize)]
@@ -35,50 +42,47 @@ struct BenchRecord {
     payload_bytes: u64,
     /// Authenticated 64-byte blocks verified.
     blocks: u64,
-    /// Pipelined-unseal wall-clock, milliseconds.
-    pipelined_ms: f64,
-    /// Serial crypto-then-replay baseline wall-clock, milliseconds.
-    serial_ms: f64,
-    /// Sustained pipelined payload throughput, GB/s.
+    /// Unseal plus write-out replay wall-clock, milliseconds.
+    unseal_ms: f64,
+    /// Sustained payload throughput, GB/s.
     gbps_sustained: f64,
-    /// Serial over pipelined wall time; above 1.0 the overlap paid off.
-    overlap_efficiency: f64,
     /// DRAM memory-clock cycles the layer write-out replay consumed.
     replay_cycles: u64,
     /// Whether the two unseals produced bit-identical images.
     deterministic: bool,
 }
 
+/// Prints the usage line with `problem` and exits 2.
+fn usage(problem: &str) -> ! {
+    eprintln!("error: {problem}");
+    eprintln!("usage: stream_bench [out.json] [--min-gbps <g>]");
+    std::process::exit(2);
+}
+
 fn main() {
     let mut out_path = "BENCH_stream.json".to_owned();
     let mut min_gbps: Option<f64> = None;
-    let mut model_name = "trf".to_owned();
-    let mut repeat_layers = 4usize;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--min-gbps" => {
-                let v = args.next().expect("--min-gbps needs a value");
-                min_gbps = Some(v.parse().expect("--min-gbps must be a number"));
+                let Some(v) = args.next() else {
+                    usage("--min-gbps needs a value")
+                };
+                match v.parse::<f64>() {
+                    Ok(g) if g.is_finite() => min_gbps = Some(g),
+                    _ => usage(&format!("--min-gbps wants a number, got {v:?}")),
+                }
             }
-            "--model" => {
-                model_name = args.next().expect("--model needs a name");
-            }
-            "--layers" => {
-                let v = args.next().expect("--layers needs a value");
-                repeat_layers = v.parse().expect("--layers must be an integer");
-            }
+            flag if flag.starts_with("--") => usage(&format!("unknown flag {flag:?}")),
             other => out_path = other.to_owned(),
         }
     }
 
-    let model = zoo::by_name(&model_name)
-        .unwrap_or_else(|| panic!("unknown model {model_name:?} (try `seda_cli workloads`)"));
-    // Tile the model's sealed geometry `repeat_layers` times so the
-    // stream is long enough to amortize pipeline fill/drain.
+    let model = zoo::by_name(MODEL).expect("the benchmark model is in the zoo");
     let base = model_lens(&model);
     let lens: Vec<usize> = std::iter::repeat_with(|| base.clone())
-        .take(repeat_layers.max(1))
+        .take(REPEAT_LAYERS)
         .flatten()
         .collect();
     let spec = StreamSpec {
@@ -121,20 +125,18 @@ fn main() {
         layers: spec.lens.len(),
         payload_bytes: timed.payload_bytes,
         blocks: timed.blocks,
-        pipelined_ms: round6(timed.pipelined_s * 1e3),
-        serial_ms: round6(timed.serial_s * 1e3),
+        unseal_ms: round6(timed.wall_s * 1e3),
         gbps_sustained: round6(timed.gbps_sustained),
-        overlap_efficiency: round6(timed.overlap_efficiency),
         replay_cycles: timed.replay_cycles,
         deterministic,
     };
     println!(
-        "stream pipeline: {} x{} layers, {} payload bytes in {} blocks under {}",
+        "stream provisioning: {} x{} layers, {} payload bytes in {} blocks under {}",
         record.model, record.layers, record.payload_bytes, record.blocks, record.config
     );
     println!(
-        "pipelined {:.3} ms vs serial {:.3} ms — {:.3} GB/s sustained, {:.2}x overlap efficiency",
-        record.pipelined_ms, record.serial_ms, record.gbps_sustained, record.overlap_efficiency
+        "unseal {:.3} ms — {:.3} GB/s sustained",
+        record.unseal_ms, record.gbps_sustained
     );
     println!(
         "{} DRAM replay cycles; images bit-identical across unseals",
@@ -146,7 +148,7 @@ fn main() {
     if let Some(floor) = min_gbps {
         if record.gbps_sustained < floor {
             eprintln!(
-                "REGRESSION: stream pipeline sustained {:.4} GB/s, under the {floor:.4} GB/s floor",
+                "REGRESSION: stream provisioning sustained {:.4} GB/s, under the {floor:.4} GB/s floor",
                 record.gbps_sustained
             );
             std::process::exit(1);

@@ -49,7 +49,7 @@ pub const EXPERIMENTS: &[(&str, &str)] = &[
     ),
     (
         "stream_bench",
-        "sealed-model streaming GB/s and overlap efficiency",
+        "sealed-model provisioning GB/s, gated by a CI floor",
     ),
     (
         "telemetry_overhead",

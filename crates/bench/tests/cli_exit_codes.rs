@@ -4,9 +4,10 @@
 //! must exit 4 while leaving a valid checkpoint journal, violated
 //! serving ceilings must exit 5 while still writing the serving
 //! snapshot, and `seda_cli stream` must exit 3 on a malformed stream
-//! spec and 4 on a tampered block with the `seda-stream/v1` snapshot
-//! written before the nonzero exit, and an unwritable output path must
-//! exit 1 without a panic. Each scenario-backed test spawns
+//! spec and 4 on a tampered block with the `seda-stream/v2` snapshot
+//! written before the nonzero exit, an unwritable output path must
+//! exit 1 without a panic, and a malformed `stream_bench` command line
+//! must exit 2 with a usage line. Each scenario-backed test spawns
 //! the real binary against a private scenario registry under a temp
 //! directory (`SEDA_SCENARIOS`).
 
@@ -239,7 +240,7 @@ fn malformed_stream_spec_exits_3() {
 }
 
 /// A tampered stream block must exit 4 with the typed rejection on
-/// stderr — and the `seda-stream/v1` snapshot must already be on disk
+/// stderr — and the `seda-stream/v2` snapshot must already be on disk
 /// when the process exits, recording the failure for CI to archive.
 #[test]
 fn tampered_stream_block_exits_4_with_a_snapshot() {
@@ -271,7 +272,7 @@ fn tampered_stream_block_exits_4_with_a_snapshot() {
     );
     let snapshot = read(&snapshot_path);
     assert!(
-        snapshot.contains("\"seda-stream/v1\""),
+        snapshot.contains("\"seda-stream/v2\""),
         "stream snapshot must be schema-tagged:\n{snapshot}"
     );
     assert!(
@@ -282,7 +283,9 @@ fn tampered_stream_block_exits_4_with_a_snapshot() {
 }
 
 /// An untampered stream provisions cleanly: exit 0 and a success
-/// snapshot with a positive sustained throughput.
+/// snapshot with a sustained throughput. The deterministic fields are
+/// pinned — the replay cycles prove the layer write-out is still
+/// modelled.
 #[test]
 fn clean_stream_exits_0_with_a_throughput_snapshot() {
     let dir = std::env::temp_dir().join(format!("seda-cli-stream-ok-{}", std::process::id()));
@@ -307,7 +310,34 @@ fn clean_stream_exits_0_with_a_throughput_snapshot() {
     let snapshot = read(&snapshot_path);
     assert!(snapshot.contains("\"ok\": true"), "{snapshot}");
     assert!(snapshot.contains("\"gbps_sustained\""), "{snapshot}");
+    assert!(snapshot.contains("\"seda-stream/v2\""), "{snapshot}");
+    assert!(snapshot.contains("\"blocks\": 183,"), "{snapshot}");
+    assert!(snapshot.contains("\"replay_cycles\": 1082"), "{snapshot}");
+    assert!(!snapshot.contains("overlap"), "{snapshot}");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `stream_bench` argument errors exit 2 with a usage line, never a
+/// panic: a malformed or missing `--min-gbps` value and an unknown flag.
+#[test]
+fn malformed_stream_bench_args_exit_2_with_usage() {
+    for args in [
+        &["--min-gbps", "fast"][..],
+        &["--min-gbps"][..],
+        &["--model", "trf"][..],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_stream_bench"))
+            .args(args)
+            .output()
+            .expect("stream_bench spawns");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}:\n{stderr}");
+        assert!(
+            stderr.contains("usage: stream_bench"),
+            "{args:?}:\n{stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{args:?}:\n{stderr}");
+    }
 }
 
 /// A scenario without a serving block must be rejected with the spec

@@ -21,12 +21,13 @@
 //! pushing the remaining bytes continues cleanly from the last verified
 //! block.
 //!
-//! [`pipeline::unseal_pipelined`] is the provisioning fast path: a
-//! double-buffered two-stage pipeline overlapping transport crypto with
-//! packed DRAM replay ([`seda_dram::DramSim::run_batch_packed`]) of each
-//! verified layer's write-out, reporting sustained GB/s and the overlap
-//! efficiency against a serial crypto-then-replay baseline
-//! (`stream_bench` pins both in `BENCH_stream.json`).
+//! [`measure`] is the timed provisioning path: it verifies and installs
+//! the whole stream, then replays every layer's write-out as packed DRAM
+//! writes ([`seda_dram::DramSim::run_batch_packed`]), reporting sustained
+//! GB/s and the modelled replay cycles (`stream_bench` records both in
+//! `BENCH_stream.json`). The per-block crypto dominates its wall-clock;
+//! the replay is about 0.1% of it, so there is nothing for a second
+//! thread to overlap.
 //!
 //! [`SedaError::Tag`]: seda::SedaError::Tag
 //! [`StreamViolation`]: seda::error::StreamViolation
@@ -37,14 +38,12 @@
 #![warn(missing_docs)]
 
 pub mod frame;
-pub mod pipeline;
 pub mod seal;
 pub mod unseal;
 
 pub use frame::{header_len, FRAME_BYTES, MAGIC, MAX_LAYERS};
-pub use pipeline::{measure, unseal_pipelined, unseal_serial, UnsealRun, CHUNK_BYTES};
 pub use seal::{model_lens, seal, SealedStream, StreamSpec};
-pub use unseal::{unseal, StreamUnsealer};
+pub use unseal::{measure, unseal, StreamUnsealer, UnsealRun, CHUNK_BYTES};
 
 #[cfg(test)]
 mod tests {

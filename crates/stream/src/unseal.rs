@@ -8,6 +8,12 @@ use seda::error::StreamViolation;
 use seda::SedaError;
 use seda_adversary::{ProtectedImage, BLOCK};
 use seda_crypto::mac::{MacTag, PositionBoundMac};
+use seda_dram::{DramConfig, DramSim, Request};
+use std::time::Instant;
+
+/// Stream bytes handed to the unsealer per push — a line-rate NIC
+/// burst's worth of frames.
+pub const CHUNK_BYTES: usize = 4096;
 
 /// Incremental sealed-stream consumer.
 ///
@@ -312,6 +318,62 @@ pub fn unseal(spec: &StreamSpec, stream: &[u8]) -> Result<ProtectedImage, SedaEr
     unsealer.finish()
 }
 
+/// A completed, timed provisioning run: see [`measure`].
+#[derive(Debug)]
+pub struct UnsealRun {
+    /// The verified, installed image.
+    pub image: ProtectedImage,
+    /// Ciphertext payload bytes provisioned.
+    pub payload_bytes: u64,
+    /// Protection blocks verified.
+    pub blocks: u64,
+    /// Wall-clock seconds of the unseal plus the write-out replay.
+    pub wall_s: f64,
+    /// Sustained payload throughput in GB/s.
+    pub gbps_sustained: f64,
+    /// DRAM memory-clock cycles the layer write-out replay consumed.
+    pub replay_cycles: u64,
+}
+
+/// Provisions a stream end to end and times it: pushes the stream in
+/// [`CHUNK_BYTES`] chunks, finishes, then replays each layer's packed
+/// 64-byte writes through one [`DramSim`] — the off-chip write-out of
+/// the installed image. The image is bit-identical to a one-shot
+/// [`unseal()`]; only the wall-clock is measured.
+///
+/// # Errors
+///
+/// Propagates every unsealer violation (see [`StreamUnsealer`]).
+pub fn measure(
+    spec: &StreamSpec,
+    stream: &[u8],
+    dram: &DramConfig,
+) -> Result<UnsealRun, SedaError> {
+    let started = Instant::now();
+    let mut unsealer = StreamUnsealer::new(spec.clone())?;
+    for chunk in stream.chunks(CHUNK_BYTES) {
+        unsealer.push(chunk)?;
+    }
+    let image = unsealer.finish()?;
+    let mut sim = DramSim::new(dram.clone());
+    for (&pa0, &len) in spec.layer_pas().iter().zip(&spec.lens) {
+        let writes: Vec<u64> = (0..len / BLOCK)
+            .map(|i| Request::write(pa0 + (i * BLOCK) as u64).pack())
+            .collect();
+        sim.run_batch_packed(&writes);
+    }
+    let wall_s = started.elapsed().as_secs_f64();
+    let payload_bytes = spec.total_bytes() as u64;
+    Ok(UnsealRun {
+        image,
+        payload_bytes,
+        blocks: spec.total_blocks(),
+        wall_s,
+        gbps_sustained: payload_bytes as f64 / wall_s.max(1e-9) / 1e9,
+        replay_cycles: sim.elapsed_cycles(),
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -330,8 +392,53 @@ mod tests {
         }
     }
 
+    fn dram() -> DramConfig {
+        DramConfig::ddr4_with_bandwidth(1, 16.0e9)
+    }
+
     fn plains() -> Vec<Vec<u8>> {
         vec![vec![0x11; 128], vec![0x22; 64]]
+    }
+
+    #[test]
+    fn measure_matches_one_shot_unseal_bit_for_bit() {
+        let sp = StreamSpec {
+            lens: vec![1024, 512, 2048],
+            ..spec()
+        };
+        let plains: Vec<Vec<u8>> = sp
+            .lens
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| vec![i as u8 + 1; len])
+            .collect();
+        let stream = seal(&sp, &plains).expect("seal");
+        let run = measure(&sp, stream.bytes(), &dram()).expect("measure");
+        assert_eq!(run.blocks, (1024 + 512 + 2048) / 64);
+        assert_eq!(run.payload_bytes, 1024 + 512 + 2048);
+        assert!(run.gbps_sustained > 0.0);
+        assert!(run.replay_cycles > 0);
+        let one_shot = unseal(&sp, stream.bytes()).expect("one-shot");
+        assert_eq!(run.image.offchip_bytes(), one_shot.offchip_bytes());
+        assert_eq!(run.image.model_root(), one_shot.model_root());
+        assert_eq!(
+            run.image.read_model().expect("verifies"),
+            plains,
+            "measured unseal round-trips the plaintext"
+        );
+    }
+
+    #[test]
+    fn measure_propagates_tamper_errors() {
+        let sp = StreamSpec {
+            lens: vec![1024, 512, 2048],
+            ..spec()
+        };
+        let plains: Vec<Vec<u8>> = sp.lens.iter().map(|&len| vec![7u8; len]).collect();
+        let mut stream = seal(&sp, &plains).expect("seal");
+        stream.flip_bit(stream.frame_offset(10) + 20, 3);
+        let err = measure(&sp, stream.bytes(), &dram()).expect_err("tamper detected");
+        assert!(matches!(err, SedaError::Tag(_)), "{err:?}");
     }
 
     #[test]
