@@ -7,7 +7,6 @@
 use seda::experiment::evaluate;
 use seda::models::{parse_topology, Model};
 use seda::report::{figure5, figure6};
-use seda::scalesim::NpuConfig;
 
 const SAMPLE: &str = "\
 # sample topology: a small conv net
@@ -36,10 +35,7 @@ fn main() {
             parse_topology("sample", SAMPLE).expect("sample is valid")
         }
     };
-    let npu = match args.get(2).map(String::as_str) {
-        Some("server") => NpuConfig::server(),
-        _ => NpuConfig::edge(),
-    };
+    let npu = seda_bench::npu_arg_or_exit(args.get(2).map(String::as_str));
     println!(
         "{}: {} layers, {:.2} M weights, {:.1} GMACs on the {} NPU\n",
         model.name(),

@@ -71,8 +71,8 @@ fn main() {
     println!("Generated by `cargo run --release -p seda-bench --bin experiments_md`.");
     println!("The Fig. 5/6 experiments (and the ablation grids) are scenario-driven:");
     println!("each is a declarative spec under `scenarios/` executed by");
-    println!("`seda_cli scenario run <name>`, and the figure binaries are thin");
-    println!("wrappers over those scenarios. The sweeps below use the same engine");
+    println!("`seda_cli scenario run <name>`; they have no binaries of their own.");
+    println!("The sweeps below use the same engine");
     println!("and are bit-identical to the scenario path (pinned by the golden");
     println!("fixture suite). The packed batched DRAM replay kernel (see DESIGN.md,");
     println!("\"Replay fast path\") changes only wall-clock, never results: every");

@@ -4,15 +4,12 @@
 //! Usage: `cargo run --release -p seda-bench --bin gen_trace -- <workload> [server|edge] [out.trace]`
 
 use seda::models::zoo;
-use seda::scalesim::{simulate_model, write_trace, NpuConfig};
+use seda::scalesim::{simulate_model, write_trace};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let workload = args.get(1).map(String::as_str).unwrap_or("rest");
-    let npu = match args.get(2).map(String::as_str) {
-        Some("server") => NpuConfig::server(),
-        _ => NpuConfig::edge(),
-    };
+    let npu = seda_bench::npu_arg_or_exit(args.get(2).map(String::as_str));
     let Some(model) = zoo::by_name(workload) else {
         eprintln!("unknown workload {workload:?}");
         std::process::exit(1);

@@ -7,15 +7,12 @@
 use seda::models::zoo;
 use seda::pipeline::run_model;
 use seda::protect::Unprotected;
-use seda::scalesim::{simulate_model, utilization, NpuConfig, Schedule};
+use seda::scalesim::{simulate_model, utilization, Schedule};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let workload = args.get(1).map(String::as_str).unwrap_or("rest");
-    let npu = match args.get(2).map(String::as_str) {
-        Some("server") => NpuConfig::server(),
-        _ => NpuConfig::edge(),
-    };
+    let npu = seda_bench::npu_arg_or_exit(args.get(2).map(String::as_str));
     let Some(model) = zoo::by_name(workload) else {
         eprintln!("unknown workload {workload:?}");
         eprintln!("available: let alex mob rest goo dlrm algo ds2 fast ncf sent trf yolo");

@@ -4,7 +4,8 @@
 //! Usage: `cargo run --release -p seda-bench --bin replay_trace -- <trace> [scheme] [server|edge]`
 //! where scheme is one of baseline, SGX-64B, SGX-512B, MGX-64B, MGX-512B, SeDA.
 
-use seda::dram::{DramConfig, DramSim};
+use seda::dram::DramSim;
+use seda::pipeline::dram_config_for;
 use seda::protect::{scheme_by_name, ProtectionScheme};
 use seda::scalesim::parse_trace;
 
@@ -30,11 +31,8 @@ fn main() {
         }
     };
     let mut scheme = make_scheme(args.get(2).map(String::as_str).unwrap_or("baseline"));
-    let dram_cfg = match args.get(3).map(String::as_str) {
-        Some("server") => DramConfig::server(),
-        _ => DramConfig::edge(),
-    };
-    let mut dram = DramSim::new(dram_cfg);
+    let npu = seda_bench::npu_arg_or_exit(args.get(3).map(String::as_str));
+    let mut dram = DramSim::new(dram_config_for(&npu));
     for b in &bursts {
         scheme.transform(b, &mut |r| {
             dram.access(r);

@@ -497,10 +497,7 @@ fn main() {
         Some("stream") => exit_code = stream_cmd(&args[1..]),
         Some("run") => {
             let workload = args.get(1).map(String::as_str).unwrap_or("rest");
-            let npu = match args.get(2).map(String::as_str) {
-                Some("server") => NpuConfig::server(),
-                _ => NpuConfig::edge(),
-            };
+            let npu = seda_bench::npu_arg_or_exit(args.get(2).map(String::as_str));
             let scheme_name = args.get(3).map(String::as_str).unwrap_or("SeDA");
             let Some(model) = zoo::by_name(workload) else {
                 eprintln!("unknown workload {workload:?} (try `seda_cli workloads`)");
@@ -510,7 +507,10 @@ fn main() {
                 eprintln!("unknown scheme {scheme_name:?} (try `seda_cli schemes`)");
                 std::process::exit(1);
             };
-            let repeats: u32 = args.get(4).and_then(|n| n.parse().ok()).unwrap_or(1);
+            let repeats: u32 = match args.get(4) {
+                None => 1,
+                Some(n) => n.parse().unwrap_or_else(|_| usage()),
+            };
             let sim = simulate_model(&npu, &model);
             for r in run_trace(&sim, &npu, scheme.as_mut(), None, repeats.max(1)) {
                 println!(

@@ -62,6 +62,20 @@ pub const EXPERIMENTS: &[(&str, &str)] = &[
     ("experiments_md", "regenerate EXPERIMENTS.md"),
 ];
 
+/// Resolves an optional `server|edge` NPU argument through
+/// [`seda::scenario::npu_by_name`], defaulting to the edge NPU only when
+/// the argument is absent. An unknown name prints the error and exits 1,
+/// as an unknown workload does.
+pub fn npu_arg_or_exit(name: Option<&str>) -> seda::scalesim::NpuConfig {
+    let Some(name) = name else {
+        return seda::scalesim::NpuConfig::edge();
+    };
+    seda::scenario::npu_by_name(name).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(1);
+    })
+}
+
 /// Rounds a benchmark float to six decimal places.
 ///
 /// The bench binaries archive their records as JSON artifacts; raw

@@ -6,8 +6,9 @@
 //! snapshot, and `seda_cli stream` must exit 3 on a malformed stream
 //! spec and 4 on a tampered block with the `seda-stream/v2` snapshot
 //! written before the nonzero exit, an unwritable output path must
-//! exit 1 without a panic, and a malformed `stream_bench` command line
-//! must exit 2 with a usage line. Each scenario-backed test spawns
+//! exit 1 without a panic, a malformed `stream_bench` command line or
+//! `seda_cli run` repeat count must exit 2 with a usage line, and an
+//! unknown NPU name must exit 1. Each scenario-backed test spawns
 //! the real binary against a private scenario registry under a temp
 //! directory (`SEDA_SCENARIOS`).
 
@@ -388,4 +389,43 @@ fn unwritable_telemetry_path_exits_1_without_panicking() {
         stderr.contains("t.json"),
         "stderr must name the path:\n{stderr}"
     );
+}
+
+/// A misspelled NPU name is an error, not a silent edge-NPU run: every
+/// binary taking a `server|edge` argument must exit 1 and name the bad
+/// value on stderr.
+#[test]
+fn unknown_npu_name_exits_1() {
+    for (exe, args) in [
+        (
+            env!("CARGO_BIN_EXE_seda_cli"),
+            &["run", "rest", "servr", "SeDA"][..],
+        ),
+        (env!("CARGO_BIN_EXE_layer_report"), &["rest", "servr"][..]),
+        (env!("CARGO_BIN_EXE_gen_trace"), &["rest", "servr"][..]),
+    ] {
+        let out = Command::new(exe)
+            .args(args)
+            .output()
+            .expect("binary spawns");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{exe} {args:?}:\n{stderr}");
+        assert!(
+            stderr.contains("unknown NPU \"servr\""),
+            "{exe} {args:?}:\n{stderr}"
+        );
+    }
+}
+
+/// A malformed `seda_cli run` repeat count is a usage error (exit 2),
+/// not a silent single inference.
+#[test]
+fn malformed_run_repeat_count_exits_2_with_usage() {
+    let out = Command::new(env!("CARGO_BIN_EXE_seda_cli"))
+        .args(["run", "let", "edge", "SeDA", "three"])
+        .output()
+        .expect("seda_cli spawns");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr:\n{stderr}");
+    assert!(stderr.contains("usage: seda_cli"), "stderr:\n{stderr}");
 }

@@ -8,9 +8,9 @@
 //! and execute through the existing [`Sweep`] engine, so a scenario run
 //! is bit-identical to the hand-coded experiment it replaced.
 //!
-//! The figure/table/ablation binaries are thin wrappers over registered
-//! scenarios, and `seda_cli scenario list|describe|run <name>` drives the
-//! zoo interactively. Every scenario's headline numbers can be pinned as
+//! Fig. 5/6 and the cache, energy and granularity ablations exist only
+//! as registered scenarios; `seda_cli scenario list|describe|run <name>`
+//! drives the zoo. Every scenario's headline numbers can be pinned as
 //! a golden fixture via [`ScenarioRun::snapshot_json`], which makes the
 //! zoo a regression surface: adding a JSON file adds an experiment *and*
 //! its drift detector.
@@ -45,7 +45,10 @@ use crate::resilience::{
 use crate::sweep::Sweep;
 use seda_dram::{estimate_energy, DramConfig, EnergyParams};
 use seda_models::{zoo, Model};
-use seda_protect::{BlockMacKind, BlockMacScheme, HashEngine, PROTECTED_BYTES};
+use seda_protect::{
+    BlockMacKind, BlockMacScheme, HashEngine, ProtectionScheme, DEFAULT_MAC_CACHE_BYTES,
+    DEFAULT_VN_CACHE_BYTES, PROTECTED_BYTES,
+};
 use seda_scalesim::NpuConfig;
 use serde::{Deserialize, Serialize, Value};
 use std::error::Error;
@@ -262,9 +265,11 @@ pub enum SchemeSpec {
         kind: String,
         /// Protection-block granularity in bytes (positive multiple of 64).
         granularity: u64,
-        /// MAC cache capacity override in KB (default 8).
+        /// MAC cache capacity override in KB (default
+        /// [`DEFAULT_MAC_CACHE_BYTES`], 8 KB).
         mac_cache_kb: Option<u64>,
-        /// VN cache capacity override in KB (default 16).
+        /// VN cache capacity override in KB (default
+        /// [`DEFAULT_VN_CACHE_BYTES`], 16 KB).
         vn_cache_kb: Option<u64>,
     },
 }
@@ -285,8 +290,8 @@ impl SchemeSpec {
                     let _ = write!(
                         label,
                         "/m{}v{}",
-                        mac_cache_kb.unwrap_or(8),
-                        vn_cache_kb.unwrap_or(16)
+                        mac_cache_kb.unwrap_or(DEFAULT_MAC_CACHE_BYTES >> 10),
+                        vn_cache_kb.unwrap_or(DEFAULT_VN_CACHE_BYTES >> 10)
                     );
                 }
                 label
@@ -344,7 +349,7 @@ impl SchemeSpec {
     /// Returns [`ScenarioError::UnknownScheme`] when a registry name does
     /// not resolve (parameter validation is `Self::validate`'s job and
     /// is assumed to have run).
-    pub fn instantiate(&self) -> Result<Box<dyn seda_protect::ProtectionScheme>, ScenarioError> {
+    pub fn instantiate(&self) -> Result<Box<dyn ProtectionScheme>, ScenarioError> {
         match self {
             SchemeSpec::Registry { name } => seda_protect::scheme_by_name(name)
                 .ok_or_else(|| ScenarioError::UnknownScheme { name: name.clone() }),
@@ -353,22 +358,32 @@ impl SchemeSpec {
                 granularity,
                 mac_cache_kb,
                 vn_cache_kb,
-            } => {
-                let kind = Self::block_mac_kind(kind)?;
-                Ok(match (mac_cache_kb, vn_cache_kb) {
-                    (None, None) => {
-                        Box::new(BlockMacScheme::new(kind, *granularity, PROTECTED_BYTES))
-                    }
-                    (mac, vn) => Box::new(BlockMacScheme::with_caches(
-                        kind,
-                        *granularity,
-                        PROTECTED_BYTES,
-                        mac.unwrap_or(8) << 10,
-                        vn.unwrap_or(16) << 10,
-                    )),
-                })
-            }
+            } => Ok(Self::block_mac(
+                Self::block_mac_kind(kind)?,
+                *granularity,
+                *mac_cache_kb,
+                *vn_cache_kb,
+            )),
         }
+    }
+
+    /// The one [`BlockMacScheme`] constructor behind both
+    /// [`SchemeSpec::instantiate`] and the sweep factory `add_to`
+    /// registers, so serving tenants and sweep points build identical
+    /// schemes. Absent cache overrides take the paper defaults.
+    fn block_mac(
+        kind: BlockMacKind,
+        granularity: u64,
+        mac_cache_kb: Option<u64>,
+        vn_cache_kb: Option<u64>,
+    ) -> Box<dyn ProtectionScheme> {
+        Box::new(BlockMacScheme::with_caches(
+            kind,
+            granularity,
+            PROTECTED_BYTES,
+            mac_cache_kb.map_or(DEFAULT_MAC_CACHE_BYTES, |kb| kb << 10),
+            vn_cache_kb.map_or(DEFAULT_VN_CACHE_BYTES, |kb| kb << 10),
+        ))
     }
 
     fn add_to(&self, sweep: Sweep) -> Sweep {
@@ -382,19 +397,8 @@ impl SchemeSpec {
             } => {
                 // Validated before execution, so the kind parses here.
                 let kind = Self::block_mac_kind(kind).unwrap_or(BlockMacKind::Sgx);
-                let g = *granularity;
-                let mac = mac_cache_kb.map(|kb| kb << 10);
-                let vn = vn_cache_kb.map(|kb| kb << 10);
-                sweep.scheme_with(&self.label(), move || match (mac, vn) {
-                    (None, None) => Box::new(BlockMacScheme::new(kind, g, PROTECTED_BYTES)),
-                    (mac, vn) => Box::new(BlockMacScheme::with_caches(
-                        kind,
-                        g,
-                        PROTECTED_BYTES,
-                        mac.unwrap_or(8 << 10),
-                        vn.unwrap_or(16 << 10),
-                    )),
-                })
+                let (g, mac, vn) = (*granularity, *mac_cache_kb, *vn_cache_kb);
+                sweep.scheme_with(&self.label(), move || Self::block_mac(kind, g, mac, vn))
             }
         }
     }

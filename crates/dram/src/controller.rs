@@ -16,29 +16,21 @@
 //!   slots longer than the channel count advance every channel by a
 //!   closed-form amount (telescoped row hits plus an O(periods-crossed)
 //!   refresh walk).
-//! * The **mixed-streak kernel**, also inside
-//!   [`DramSim::run_batch_packed`]: everything too short for the
-//!   long-streak kernel — singletons, short runs, read/write turnarounds
-//!   — is decoded once into packed per-channel substreams and replayed
-//!   lane by lane, so repeated keys coalesce and no request pays a second
-//!   decode. On multi-core hosts the lanes shard across scoped threads
-//!   (channel state is disjoint by construction, every statistic is a
-//!   commutative sum).
+//! * The **short-streak step**, also inside [`DramSim::run_batch_packed`]:
+//!   everything too short for the long-streak kernel — singletons, short
+//!   runs, read/write turnarounds — replays in place, one packed request
+//!   at a time. A request continuing its channel's steady streak (same
+//!   bank, row, and direction) takes a one-access closed-form row hit;
+//!   anything else runs the exact kernel on pre-cracked bank/row fields.
 //!
 //! All three are bit-identical, access for access — the `dram-batch`
 //! family of `seda-validate` and the conformance tests in this crate
-//! enforce that, stat for stat, for serial and sharded replays alike.
+//! enforce that, stat for stat.
 
 use crate::config::DramConfig;
 use crate::mapping::AddressMapping;
 use crate::request::{Request, RowOutcome};
 use crate::stats::DramStats;
-
-/// Buffered mixed-streak requests below this count replay serially even
-/// when `replay_threads` is unset: thread spawn/join latency dwarfs the
-/// replay itself for small flushes. An explicit
-/// [`DramSim::set_replay_threads`] bypasses the threshold.
-const SHARD_MIN_REQUESTS: usize = 64 * 1024;
 
 #[derive(Debug, Clone, Copy)]
 struct BankState {
@@ -149,9 +141,7 @@ struct LaneGeometry {
 }
 
 /// One channel's mutable slice of the simulator: its clock, its banks,
-/// and a statistics accumulator. Channels share no timing state, so a
-/// lane is the unit of sharding — workers own disjoint lanes and merge
-/// their [`DramStats`] afterward.
+/// and the shared statistics accumulator.
 struct Lane<'a> {
     cfg: &'a DramConfig,
     clock: &'a mut ChannelClock,
@@ -337,47 +327,13 @@ impl Lane<'_> {
     }
 }
 
-/// Replays one channel's packed substream through its lane.
-///
-/// `sub` holds `(block << 1) | is_write` words in program order; `last`
-/// is the channel's most recent steady-streak key (or `u64::MAX` when no
-/// access has established one this batch). Runs of equal keys coalesce:
-/// one exact head access when the key changes, then a single closed-form
-/// streak for the rest — exactly the sequence the scalar path would take,
-/// so the replay is bit-identical by construction.
-fn replay_lane(lane: &mut Lane<'_>, sub: &[u64], last: &mut u64, geom: LaneGeometry) {
-    let mut i = 0;
-    while i < sub.len() {
-        let p = sub[i];
-        let mut n = 1;
-        while i + n < sub.len() && (sub[i + n] ^ p) & geom.key_mask == 0 {
-            n += 1;
-        }
-        let block = p >> 1;
-        let is_write = p & 1 != 0;
-        let bank_idx = ((block >> geom.region_bits) & geom.bank_rank_mask) as usize;
-        let mut hits = n as u64;
-        if (*last ^ p) & geom.key_mask != 0 {
-            lane.access(bank_idx, block >> geom.row_shift, is_write);
-            hits -= 1;
-        }
-        if hits > 0 {
-            lane.streak(bank_idx, hits, is_write);
-        }
-        *last = p;
-        i += n;
-    }
-}
-
-/// Reusable buffers for the mixed-streak kernel, kept on the simulator so
+/// Reusable state for the batched kernel, kept on the simulator so
 /// repeated `run_batch` calls allocate nothing in steady state. The
-/// contents are meaningful only within one `run_batch` call — `last` keys
+/// `last` keys are meaningful only within one `run_batch` call — they
 /// reset at entry so interleaved `access()` calls can never leave a stale
 /// key behind.
 #[derive(Debug, Clone)]
 struct BatchScratch {
-    /// Per-channel packed substreams awaiting replay.
-    pending: Vec<Vec<u64>>,
     /// Per-channel steady-streak key of the most recent access this
     /// batch: the packed request with its column bits ignored via
     /// `key_mask`. `u64::MAX` is an impossible packed value (blocks have
@@ -422,13 +378,6 @@ pub struct DramSim {
     banks_per_channel: usize,
     stats: DramStats,
     scratch: BatchScratch,
-    /// Requests currently buffered across `scratch.pending`, so the flush
-    /// check at every long-streak boundary is one load.
-    pending_total: usize,
-    /// Worker-thread cap for the sharded mixed-streak flush; `None`
-    /// sizes automatically (available parallelism, above a volume
-    /// threshold).
-    replay_threads: Option<usize>,
 }
 
 impl DramSim {
@@ -445,33 +394,15 @@ impl DramSim {
             banks_per_channel,
             stats: DramStats::default(),
             scratch: BatchScratch {
-                pending: vec![Vec::new(); channels],
                 last: vec![u64::MAX; channels],
                 packed: Vec::new(),
             },
-            pending_total: 0,
-            replay_threads: None,
         }
     }
 
     /// The simulator's configuration.
     pub fn config(&self) -> &DramConfig {
         &self.config
-    }
-
-    /// Caps the worker threads the batched replay may shard channel lanes
-    /// across. `1` forces serial replay; values above the channel count
-    /// are clamped to it at flush time. An explicit setting also bypasses
-    /// the automatic volume threshold, so tests can exercise the sharded
-    /// path on small streams. Replay results are bit-identical at any
-    /// setting.
-    pub fn set_replay_threads(&mut self, threads: usize) {
-        self.replay_threads = Some(threads.max(1));
-    }
-
-    /// The configured replay-thread cap, or `None` for automatic sizing.
-    pub fn replay_threads(&self) -> Option<usize> {
-        self.replay_threads
     }
 
     /// Simulates one 64 B access and returns its row-buffer outcome.
@@ -553,8 +484,7 @@ impl DramSim {
     ///
     /// * **Channels are independent.** No state is shared between
     ///   channels, and every aggregate statistic is a commutative sum, so
-    ///   requests to different channels can be timed in any order — or on
-    ///   different threads.
+    ///   a streak's per-channel runs can be timed channel by channel.
     /// * **Steady row hits are bus-rate.** After any access, the bank's
     ///   next column command plus CAS latency lands exactly when the bus
     ///   frees (`next_col + cas == bus_free`), so a following access to
@@ -567,12 +497,11 @@ impl DramSim {
     /// row hits advance the bus by `n × t_bl` plus any refresh slips,
     /// accounted in O(refresh windows crossed) rather than O(n).
     /// Everything shorter — singleton streaks, short runs, read/write
-    /// turnarounds, region-boundary stragglers — is packed into
-    /// per-channel substreams and replayed by the mixed-streak kernel
-    /// (`replay_lane`), which decodes each request once and coalesces
-    /// repeated keys; substreams flush before each long streak so
-    /// per-channel program order is preserved, and shard across threads
-    /// when large enough (see [`DramSim::set_replay_threads`]).
+    /// turnarounds, region-boundary stragglers — replays in place, in
+    /// program order: each request's bank and row are cracked from the
+    /// packed word by shift and mask, and a request continuing its
+    /// channel's steady streak takes a one-access closed-form row hit
+    /// instead of the exact kernel.
     pub fn run_batch_packed(&mut self, requests: &[u64]) {
         // The closed-form refresh walk assumes every issued burst leaves
         // its channel with phase >= tRFC, which the per-access check only
@@ -599,20 +528,6 @@ impl DramSim {
             row_shift: self.mapping.row_shift(),
         };
         let region_mask = (1u64 << region_bits) - 1;
-        // Replay mode: buffering short segments into per-channel
-        // substreams only pays off when a flush can shard them across
-        // workers; with a single worker the scalar path replays them in
-        // place, skipping the buffer round-trip entirely. Both modes are
-        // bit-identical.
-        let worker_cap = match self.replay_threads {
-            Some(n) => n,
-            None if requests.len() >= SHARD_MIN_REQUESTS => {
-                std::thread::available_parallelism().map_or(1, |n| n.get())
-            }
-            None => 1,
-        }
-        .min(channels);
-        let buffered = worker_cap > 1;
 
         let mut i = 0;
         while i < requests.len() {
@@ -656,14 +571,9 @@ impl DramSim {
             }
 
             if len > channels {
-                // Long streak: drain buffered short work first so each
-                // channel sees its requests in program order.
-                if self.pending_total > 0 {
-                    self.flush_pending(worker_cap, geom);
-                }
-                // Channel of offset j is (head_block + j) mod channels,
-                // and every block in the region shares one within-channel
-                // bank index and row. Per channel: the first access goes
+                // Long streak. Channel of offset j is (head_block + j) mod
+                // channels, and every block in the region shares one
+                // within-channel bank index and row. Per channel: the first access goes
                 // through the scalar path (it may hit, conflict, or open
                 // an empty bank) and establishes the steady-streak
                 // invariant; the channel's remaining accesses are steady
@@ -691,27 +601,14 @@ impl DramSim {
                         }
                     }
                 }
-                i += len;
-            } else if buffered {
-                // Too short for the closed-form kernel: buffer the packed
-                // requests on their channels for the mixed-streak replay.
-                for k in 0..len as u64 {
-                    let p = head_p + 2 * k;
-                    self.scratch.pending[((p >> 1) & ch_mask) as usize].push(p);
-                }
-                self.pending_total += len;
-                i += len;
             } else {
-                // Single worker: replay the short segment in place.
+                // Too short for the closed-form kernel: replay in place.
                 for k in 0..len as u64 {
                     let p = head_p + 2 * k;
                     self.step_packed(((p >> 1) & ch_mask) as usize, p, geom);
                 }
-                i += len;
             }
-        }
-        if self.pending_total > 0 {
-            self.flush_pending(worker_cap, geom);
+            i += len;
         }
     }
 
@@ -730,98 +627,6 @@ impl DramSim {
             lane.streak(bank_idx, 1, is_write);
         } else {
             lane.access(bank_idx, block >> geom.row_shift, is_write);
-        }
-    }
-
-    /// Replays every channel's buffered substream, serially or sharded
-    /// across scoped worker threads, then clears the buffers (keeping
-    /// their capacity).
-    ///
-    /// `workers` is the thread cap the caller resolved; an automatically
-    /// sized flush still replays serially below the volume threshold so
-    /// interleaved short work never pays thread spawn latency.
-    ///
-    /// Sharding is bit-identical to serial replay: workers own disjoint
-    /// channel lanes (clock + bank slice + streak key), each worker
-    /// accumulates into a private [`DramStats`], and the commutative
-    /// per-worker sums merge into the shared totals after the join.
-    fn flush_pending(&mut self, workers: usize, geom: LaneGeometry) {
-        let total = self.pending_total;
-        if total == 0 {
-            return;
-        }
-        self.pending_total = 0;
-        let threads = if self.replay_threads.is_some() || total >= SHARD_MIN_REQUESTS {
-            workers
-        } else {
-            1
-        };
-
-        if threads <= 1 {
-            for ch in 0..self.clocks.len() {
-                if self.scratch.pending[ch].is_empty() {
-                    continue;
-                }
-                let lo = ch * self.banks_per_channel;
-                let hi = lo + self.banks_per_channel;
-                let mut lane = Lane {
-                    cfg: &self.config,
-                    clock: &mut self.clocks[ch],
-                    banks: &mut self.banks[lo..hi],
-                    stats: &mut self.stats,
-                };
-                replay_lane(
-                    &mut lane,
-                    &self.scratch.pending[ch],
-                    &mut self.scratch.last[ch],
-                    geom,
-                );
-            }
-        } else {
-            let cfg = &self.config;
-            let mut lanes: Vec<_> = self
-                .clocks
-                .iter_mut()
-                .zip(self.banks.chunks_mut(self.banks_per_channel))
-                .zip(self.scratch.last.iter_mut())
-                .zip(self.scratch.pending.iter())
-                .map(|(((clock, banks), last), sub)| (clock, banks, last, sub.as_slice()))
-                .collect();
-            let per_worker = lanes.len().div_ceil(threads);
-            let mut merged = DramStats::default();
-            std::thread::scope(|scope| {
-                let workers: Vec<_> = lanes
-                    .chunks_mut(per_worker)
-                    .map(|chunk| {
-                        scope.spawn(move || {
-                            let mut stats = DramStats::default();
-                            for (clock, banks, last, sub) in chunk.iter_mut() {
-                                if sub.is_empty() {
-                                    continue;
-                                }
-                                let mut lane = Lane {
-                                    cfg,
-                                    clock,
-                                    banks,
-                                    stats: &mut stats,
-                                };
-                                replay_lane(&mut lane, sub, last, geom);
-                            }
-                            stats
-                        })
-                    })
-                    .collect();
-                for worker in workers {
-                    match worker.join() {
-                        Ok(stats) => merged.merge(&stats),
-                        Err(payload) => std::panic::resume_unwind(payload),
-                    }
-                }
-            });
-            self.stats.merge(&merged);
-        }
-        for sub in &mut self.scratch.pending {
-            sub.clear();
         }
     }
 
@@ -1057,7 +862,7 @@ mod batch_tests {
         // The packed entry point (the pipeline's native form) must agree
         // byte for byte with the Request-slice shim.
         let packed_stream: Vec<u64> = stream.iter().map(|r| r.pack()).collect();
-        let mut packed = DramSim::new(cfg.clone());
+        let mut packed = DramSim::new(cfg);
         packed.run_batch_packed(&packed_stream);
         assert_eq!(exact.stats(), packed.stats(), "packed stats diverged");
         assert_eq!(
@@ -1069,22 +874,6 @@ mod batch_tests {
             exact.bank_occupancy_cycles(),
             packed.bank_occupancy_cycles(),
             "packed bank occupancy diverged"
-        );
-        // The sharded mixed-streak path must agree too, even when forced
-        // on a stream far below the automatic volume threshold.
-        let mut sharded = DramSim::new(cfg);
-        sharded.set_replay_threads(4);
-        sharded.run_batch(stream);
-        assert_eq!(exact.stats(), sharded.stats(), "sharded stats diverged");
-        assert_eq!(
-            exact.elapsed_cycles(),
-            sharded.elapsed_cycles(),
-            "sharded elapsed cycles diverged"
-        );
-        assert_eq!(
-            exact.bank_occupancy_cycles(),
-            sharded.bank_occupancy_cycles(),
-            "sharded bank occupancy diverged"
         );
     }
 
@@ -1137,8 +926,8 @@ mod batch_tests {
     #[test]
     fn singleton_heavy_stream_is_bit_identical() {
         // The regime BENCH_dram.json says dominates: isolated one-block
-        // touches scattered over rows and directions, so the mixed-streak
-        // kernel sees nothing but singletons.
+        // touches scattered over rows and directions, so the short-streak
+        // step sees nothing but singletons.
         let cfg = DramConfig::server();
         let row_span = cfg.row_bytes * u64::from(cfg.channels);
         let stream: Vec<Request> = (0..20_000u64)
@@ -1158,8 +947,8 @@ mod batch_tests {
     fn short_mixed_streaks_are_bit_identical() {
         // Runs of 2-4 blocks (at or below the channel count, so below the
         // long-streak kernel's threshold) with direction flips between
-        // runs: the mixed-streak kernel must coalesce within each run and
-        // re-evaluate at every boundary.
+        // runs: the short-streak step must take closed-form hits within
+        // each run and re-evaluate at every boundary.
         let cfg = DramConfig::server();
         let mut stream = Vec::new();
         let mut base = 0u64;
@@ -1250,40 +1039,6 @@ mod batch_tests {
         assert_eq!(whole.stats(), split.stats());
         assert_eq!(whole.elapsed_cycles(), split.elapsed_cycles());
         assert_eq!(whole.bank_occupancy_cycles(), split.bank_occupancy_cycles());
-    }
-
-    #[test]
-    fn replay_thread_counts_are_equivalent() {
-        // Serial, channel-count, and over-provisioned thread caps all
-        // produce identical state on a multi-channel interleaved stream.
-        let cfg = DramConfig::server();
-        let stream: Vec<Request> = (0..30_000u64)
-            .map(|i| {
-                // Interleave short per-channel bursts with row hops so
-                // every channel's substream is non-trivial.
-                let addr = (i % 4) * ACCESS_BYTES + (i / 4) * 4096 * ACCESS_BYTES;
-                if i % 7 == 0 {
-                    Request::write(addr)
-                } else {
-                    Request::read(addr)
-                }
-            })
-            .collect();
-        let mut serial = DramSim::new(cfg.clone());
-        serial.set_replay_threads(1);
-        serial.run_batch(&stream);
-        for threads in [2, 4, 64] {
-            let mut sharded = DramSim::new(cfg.clone());
-            sharded.set_replay_threads(threads);
-            assert_eq!(sharded.replay_threads(), Some(threads));
-            sharded.run_batch(&stream);
-            assert_eq!(serial.stats(), sharded.stats(), "threads={threads}");
-            assert_eq!(serial.elapsed_cycles(), sharded.elapsed_cycles());
-            assert_eq!(
-                serial.bank_occupancy_cycles(),
-                sharded.bank_occupancy_cycles()
-            );
-        }
     }
 }
 

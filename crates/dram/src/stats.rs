@@ -46,21 +46,6 @@ impl DramStats {
         }
     }
 
-    /// Adds another set of counters into this one, field by field.
-    ///
-    /// Every counter is a commutative sum over accesses, so merging
-    /// per-worker statistics in any order reproduces the serial totals —
-    /// the property the sharded replay path relies on.
-    pub fn merge(&mut self, other: &DramStats) {
-        self.reads += other.reads;
-        self.writes += other.writes;
-        self.row_hits += other.row_hits;
-        self.row_empties += other.row_empties;
-        self.row_conflicts += other.row_conflicts;
-        self.refresh_stall_cycles += other.refresh_stall_cycles;
-        self.bus_busy_cycles += other.bus_busy_cycles;
-    }
-
     /// Total accesses.
     pub fn accesses(&self) -> u64 {
         self.reads + self.writes
@@ -88,28 +73,6 @@ mod tests {
     #[test]
     fn hit_rate_of_empty_stats_is_zero() {
         assert_eq!(DramStats::default().hit_rate(), 0.0);
-    }
-
-    #[test]
-    fn merge_sums_every_field() {
-        let mut a = DramStats::default();
-        a.record(Request::read(0), RowOutcome::Empty);
-        a.record(Request::write(64), RowOutcome::Hit);
-        a.refresh_stall_cycles = 5;
-        a.bus_busy_cycles = 8;
-        let mut b = DramStats::default();
-        b.record(Request::read(128), RowOutcome::Conflict);
-        b.refresh_stall_cycles = 2;
-        b.bus_busy_cycles = 4;
-        let mut merged = a;
-        merged.merge(&b);
-        assert_eq!(merged.reads, 2);
-        assert_eq!(merged.writes, 1);
-        assert_eq!(merged.row_hits, 1);
-        assert_eq!(merged.row_empties, 1);
-        assert_eq!(merged.row_conflicts, 1);
-        assert_eq!(merged.refresh_stall_cycles, 7);
-        assert_eq!(merged.bus_busy_cycles, 12);
     }
 
     #[test]

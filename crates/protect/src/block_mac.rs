@@ -59,6 +59,12 @@ pub enum BlockMacKind {
     Mgx,
 }
 
+/// Default MAC-cache capacity in bytes (paper §IV-A: 8 KB, LRU).
+pub const DEFAULT_MAC_CACHE_BYTES: u64 = 8 << 10;
+
+/// Default VN-cache capacity in bytes (paper §IV-A: 16 KB, LRU).
+pub const DEFAULT_VN_CACHE_BYTES: u64 = 16 << 10;
+
 /// A block-granular MAC protection scheme (SGX or MGX flavour).
 ///
 /// # Examples
@@ -96,8 +102,13 @@ impl BlockMacScheme {
     ///
     /// Panics if `granularity` is not a positive multiple of 64 B.
     pub fn new(kind: BlockMacKind, granularity: u64, protected_bytes: u64) -> Self {
-        // Paper §IV-A: 8 KB MAC cache, 16 KB VN cache, LRU.
-        Self::with_caches(kind, granularity, protected_bytes, 8 << 10, 16 << 10)
+        Self::with_caches(
+            kind,
+            granularity,
+            protected_bytes,
+            DEFAULT_MAC_CACHE_BYTES,
+            DEFAULT_VN_CACHE_BYTES,
+        )
     }
 
     /// Like [`BlockMacScheme::new`] with explicit metadata-cache sizes

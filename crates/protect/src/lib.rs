@@ -34,7 +34,9 @@ pub mod seda;
 pub mod verifier;
 pub mod vn;
 
-pub use block_mac::{BlockMacKind, BlockMacScheme};
+pub use block_mac::{
+    BlockMacKind, BlockMacScheme, DEFAULT_MAC_CACHE_BYTES, DEFAULT_VN_CACHE_BYTES,
+};
 pub use cache::MetaCache;
 pub use error::ProtectError;
 pub use layout::MetaLayout;

@@ -12,11 +12,10 @@
 //! (maximum coalescing), row thrash (no coalescing), refresh-straddling
 //! runs (the closed form's period walk), multi-channel interleave (the
 //! per-channel decomposition), random scatter, singleton-heavy hot-line
-//! revisits, short mixed streaks (the buffered per-channel substream
-//! path), and read/write turnaround. Every stream is additionally
-//! replayed pre-packed through [`DramSim::run_batch_packed`] with the
-//! channel-sharded flush forced on, pinning the scoped-thread stats
-//! merge to the same bit-identity bar.
+//! revisits, short mixed streaks (the in-place short-streak step), and
+//! read/write turnaround. Every stream is additionally replayed
+//! pre-packed through [`DramSim::run_batch_packed`], the entry point the
+//! pipeline drives, and held to the same bit-identity bar.
 
 use crate::ensure;
 use crate::rng::Rng;
@@ -68,13 +67,13 @@ enum Shape {
     /// Uniform scatter with mixed directions.
     Random,
     /// A small pool of hot lines revisited in scattered order — every
-    /// access is a one-request streak, but keys recur, so the buffered
-    /// mixed-streak kernel's same-key coalescing and read/write
-    /// turnaround logic run on singleton-heavy traffic.
+    /// access is a one-request streak, but keys recur, so the short-streak
+    /// step's same-key closed-form hits and read/write turnaround logic
+    /// run on singleton-heavy traffic.
     Singleton,
     /// Runs of 2–4 sequential lines with frequent direction flips and
     /// jumps between runs — streaks too short for the closed form, so
-    /// everything lands in the per-channel substream buffers.
+    /// everything replays through the short-streak step.
     ShortMixed,
 }
 
@@ -196,14 +195,12 @@ fn replay_batched(cfg: &DramConfig, stream: &[Request], split: usize) -> DramSim
     sim
 }
 
-/// Replays `stream` pre-packed through `run_batch_packed` with the
-/// channel-sharded flush forced on (`set_replay_threads`), exactly as
-/// the pipeline's layer slices drive the kernel — covering both the
-/// packed entry point and the scoped-thread stats merge.
-fn replay_sharded(cfg: &DramConfig, stream: &[Request], split: usize, threads: usize) -> DramSim {
+/// Replays `stream` pre-packed through `run_batch_packed`, split at the
+/// same point as [`replay_batched`], exactly as the pipeline's layer
+/// slices drive the kernel.
+fn replay_packed(cfg: &DramConfig, stream: &[Request], split: usize) -> DramSim {
     let packed: Vec<u64> = stream.iter().map(|r| r.pack()).collect();
     let mut sim = DramSim::new(cfg.clone());
-    sim.set_replay_threads(threads);
     let (a, b) = packed.split_at(split.min(packed.len()));
     sim.run_batch_packed(a);
     sim.run_batch_packed(b);
@@ -216,7 +213,7 @@ fn telemetry_snapshot(sim: &DramSim) -> seda_telemetry::Snapshot {
     sink.snapshot()
 }
 
-/// One randomized case: one config, all five stream shapes, bit-identity
+/// One randomized case: one config, every stream shape, bit-identity
 /// of the batched kernel against the exact kernel on each.
 pub fn check_case(rng: &mut Rng) -> Result<(), String> {
     let cfg = random_config(rng);
@@ -262,27 +259,26 @@ pub fn check_case(rng: &mut Rng) -> Result<(), String> {
             telemetry_snapshot(&batched).to_json()
         );
 
-        let threads = *rng.pick(&[2usize, 3, 8]);
-        let sharded = replay_sharded(&cfg, &stream, split, threads);
+        let packed = replay_packed(&cfg, &stream, split);
         ensure!(
-            exact.stats() == sharded.stats(),
-            "{ctx} threads={threads}: sharded stats diverge\n  exact:   {:?}\n  sharded: {:?}",
+            exact.stats() == packed.stats(),
+            "{ctx}: packed stats diverge\n  exact:  {:?}\n  packed: {:?}",
             exact.stats(),
-            sharded.stats()
+            packed.stats()
         );
         ensure!(
-            exact.elapsed_cycles() == sharded.elapsed_cycles(),
-            "{ctx} threads={threads}: elapsed {} (exact) != {} (sharded)",
+            exact.elapsed_cycles() == packed.elapsed_cycles(),
+            "{ctx}: elapsed {} (exact) != {} (packed)",
             exact.elapsed_cycles(),
-            sharded.elapsed_cycles()
+            packed.elapsed_cycles()
         );
         ensure!(
-            exact.bank_occupancy_cycles() == sharded.bank_occupancy_cycles(),
-            "{ctx} threads={threads}: sharded per-bank occupancy diverges"
+            exact.bank_occupancy_cycles() == packed.bank_occupancy_cycles(),
+            "{ctx}: packed per-bank occupancy diverges"
         );
         ensure!(
-            telemetry_snapshot(&exact) == telemetry_snapshot(&sharded),
-            "{ctx} threads={threads}: sharded telemetry snapshots diverge"
+            telemetry_snapshot(&exact) == telemetry_snapshot(&packed),
+            "{ctx}: packed telemetry snapshots diverge"
         );
     }
     Ok(())
