@@ -29,20 +29,51 @@ pub const BLOCK: usize = 64;
 /// AES segment size within a block.
 pub const SEGMENT: usize = 16;
 
-/// Pad generator instance for one image.
+/// The at-rest pad generator: one keyed [`PadGen`] instance, shared by
+/// the image and by every producer of ciphertext destined for it (the
+/// `seda-stream` sealer).
 #[derive(Debug, Clone)]
-enum Pads {
+pub enum Pads {
+    /// The SECA-vulnerable shared pad.
     Shared(SharedOtp),
+    /// B-AES per-segment pads.
     BAes(BandwidthAwareOtp),
 }
 
 impl Pads {
-    fn apply(&self, seed: CounterSeed, data: &mut [u8]) {
-        match self {
-            Pads::Shared(p) => p.apply(seed, data),
-            Pads::BAes(p) => p.apply(seed, data),
+    /// Keys the pad generator `pad` with `enc_key`.
+    pub fn new(pad: PadGen, enc_key: [u8; 16]) -> Self {
+        match pad {
+            PadGen::Shared => Pads::Shared(SharedOtp::new(enc_key)),
+            PadGen::BAes => Pads::BAes(BandwidthAwareOtp::new(enc_key)),
         }
     }
+
+    /// XORs the pads of the region at `pa0` under version `vn` into
+    /// `data`, one [`BLOCK`] at a time (each block seeded by its own PA).
+    /// Pad application is its own inverse: this both encrypts and
+    /// decrypts.
+    pub fn apply_region(&self, pa0: u64, vn: u64, data: &mut [u8]) {
+        for (i, chunk) in data.chunks_mut(BLOCK).enumerate() {
+            let seed = CounterSeed::new(pa0 + (i * BLOCK) as u64, vn);
+            match self {
+                Pads::Shared(p) => p.apply(seed, chunk),
+                Pads::BAes(p) => p.apply(seed, chunk),
+            }
+        }
+    }
+}
+
+/// Base physical address of each layer region: regions are packed
+/// contiguously from address 0 in layer order.
+pub fn layer_pas(lens: &[usize]) -> Vec<u64> {
+    lens.iter()
+        .scan(0u64, |next, &len| {
+            let pa = *next;
+            *next += len as u64;
+            Some(pa)
+        })
+        .collect()
 }
 
 /// A snapshot of everything the adversary controls: ciphertext and the
@@ -97,28 +128,18 @@ impl ProtectedImage {
                 reason: format!("layer length {bad} is not a positive multiple of {BLOCK}"),
             });
         }
-        let mut pas = Vec::with_capacity(lens.len());
-        let mut next = 0u64;
-        for &len in lens {
-            pas.push(next);
-            next += len as u64;
-        }
-        let pads = match config.pad {
-            PadGen::Shared => Pads::Shared(SharedOtp::new(enc_key)),
-            PadGen::BAes => Pads::BAes(BandwidthAwareOtp::new(enc_key)),
-        };
         Ok(Self {
             config,
-            bytes: vec![0; next as usize],
+            bytes: vec![0; lens.iter().sum()],
             block_macs: lens.iter().map(|&l| vec![MacTag(0); l / BLOCK]).collect(),
             layer_macs: vec![MacTag(0); lens.len()],
             vns: vec![1; lens.len()],
             root: MacTag(0),
             layer_folds: vec![MacTag(0); lens.len()],
             mac: PositionBoundMac::new(mac_key),
-            pads,
+            pads: Pads::new(config.pad, enc_key),
             lens: lens.to_vec(),
-            pas,
+            pas: layer_pas(lens),
         })
     }
 
@@ -175,6 +196,12 @@ impl ProtectedImage {
         Ok(())
     }
 
+    /// Byte range of one layer region within the off-chip image.
+    fn region(&self, layer: usize) -> std::ops::Range<usize> {
+        let pa0 = self.pas[layer] as usize;
+        pa0..pa0 + self.lens[layer]
+    }
+
     /// Encrypts and MACs `data` into layer `layer` under its current VN.
     ///
     /// # Errors
@@ -183,27 +210,11 @@ impl ProtectedImage {
     /// `data` does not exactly fill the region.
     pub fn write_layer(&mut self, layer: usize, data: &[u8]) -> Result<(), SedaError> {
         self.check_layer(layer, data.len())?;
-        let vn = self.vns[layer];
-        let pa0 = self.pas[layer];
-        let mut tags = Vec::with_capacity(data.len() / BLOCK);
-        for (i, chunk) in data.chunks(BLOCK).enumerate() {
-            let pa = pa0 + (i * BLOCK) as u64;
-            let mut ct = chunk.to_vec();
-            self.pads.apply(CounterSeed::new(pa, vn), &mut ct);
-            let tag = self.block_tag(&ct, pa, vn, layer as u32, i as u32);
-            self.bytes[pa as usize..pa as usize + ct.len()].copy_from_slice(&ct);
-            tags.push(tag);
-        }
-        let fold = xor_fold(tags.iter().copied());
-        match self.config.level {
-            MacLevel::Block => self.block_macs[layer] = tags,
-            MacLevel::Layer => self.layer_macs[layer] = fold,
-            MacLevel::Model => {}
-        }
-        // Incremental on-chip root maintenance (XOR-MAC incrementality):
-        // XOR out the region's previous fold, XOR in the new one.
-        self.root = self.root.xor(self.layer_folds[layer]).xor(fold);
-        self.layer_folds[layer] = fold;
+        let region = self.region(layer);
+        let ct = &mut self.bytes[region];
+        ct.copy_from_slice(data);
+        self.pads.apply_region(self.pas[layer], self.vns[layer], ct);
+        self.mac_resident_layer(layer);
         Ok(())
     }
 
@@ -222,24 +233,38 @@ impl ProtectedImage {
     /// `ct` does not exactly fill the region.
     pub fn install_sealed_layer(&mut self, layer: usize, ct: &[u8]) -> Result<(), SedaError> {
         self.check_layer(layer, ct.len())?;
-        let vn = self.vns[layer];
-        let pa0 = self.pas[layer];
-        let mut tags = Vec::with_capacity(ct.len() / BLOCK);
-        for (i, chunk) in ct.chunks(BLOCK).enumerate() {
-            let pa = pa0 + (i * BLOCK) as u64;
-            let tag = self.block_tag(chunk, pa, vn, layer as u32, i as u32);
-            self.bytes[pa as usize..pa as usize + chunk.len()].copy_from_slice(chunk);
-            tags.push(tag);
-        }
+        let region = self.region(layer);
+        self.bytes[region].copy_from_slice(ct);
+        self.mac_resident_layer(layer);
+        Ok(())
+    }
+
+    /// The optBlk MACs of the ciphertext now resident in `layer`, under
+    /// the layer's current VN.
+    fn resident_tags(&self, layer: usize) -> Vec<MacTag> {
+        let (vn, pa0) = (self.vns[layer], self.pas[layer]);
+        self.bytes[self.region(layer)]
+            .chunks(BLOCK)
+            .enumerate()
+            .map(|(i, ct)| self.block_tag(ct, pa0 + (i * BLOCK) as u64, vn, layer as u32, i as u32))
+            .collect()
+    }
+
+    /// The storage-MAC update both write paths share: tags the resident
+    /// ciphertext, stores the tags at the configuration's level, and
+    /// swaps the layer's fold in the on-chip root.
+    fn mac_resident_layer(&mut self, layer: usize) {
+        let tags = self.resident_tags(layer);
         let fold = xor_fold(tags.iter().copied());
         match self.config.level {
             MacLevel::Block => self.block_macs[layer] = tags,
             MacLevel::Layer => self.layer_macs[layer] = fold,
             MacLevel::Model => {}
         }
+        // Incremental on-chip root maintenance (XOR-MAC incrementality):
+        // XOR out the region's previous fold, XOR in the new one.
         self.root = self.root.xor(self.layer_folds[layer]).xor(fold);
         self.layer_folds[layer] = fold;
-        Ok(())
     }
 
     /// The raw off-chip ciphertext — the byte-identity surface the stream
@@ -319,20 +344,10 @@ impl ProtectedImage {
                 reason: format!("layer {layer} out of range ({} layers)", self.lens.len()),
             });
         }
-        let vn = self.vns[layer];
-        let pa0 = self.pas[layer];
-        let blocks = self.blocks_in(layer);
-        let mut out = Vec::with_capacity(self.lens[layer]);
-        let mut tags = Vec::with_capacity(blocks);
-        for i in 0..blocks {
-            let pa = pa0 + (i * BLOCK) as u64;
-            let ct = &self.bytes[pa as usize..pa as usize + BLOCK];
-            tags.push(self.block_tag(ct, pa, vn, layer as u32, i as u32));
-            let mut buf = ct.to_vec();
-            self.pads.apply(CounterSeed::new(pa, vn), &mut buf);
-            out.extend_from_slice(&buf);
-        }
-        Ok((out, tags))
+        let mut out = self.bytes[self.region(layer)].to_vec();
+        self.pads
+            .apply_region(self.pas[layer], self.vns[layer], &mut out);
+        Ok((out, self.resident_tags(layer)))
     }
 
     /// Decrypts and verifies every layer, at the configuration's own
@@ -531,20 +546,14 @@ mod tests {
             let lens = [256usize, 128];
             let mut at_rest = ProtectedImage::new(config, &lens, [3; 16], [4; 16]).expect("valid");
             let mut streamed = ProtectedImage::new(config, &lens, [3; 16], [4; 16]).expect("valid");
-            let pads = match config.pad {
-                PadGen::Shared => Pads::Shared(SharedOtp::new([3; 16])),
-                PadGen::BAes => Pads::BAes(BandwidthAwareOtp::new([3; 16])),
-            };
+            let pads = Pads::new(config.pad, [3; 16]);
             for (layer, plain) in [data(256, 0x31), data(128, 0x42)].iter().enumerate() {
                 at_rest.write_layer(layer, plain).expect("write");
                 // Encrypt externally under the same key and the fresh VN
                 // (pad application is its own inverse), then install the
                 // ciphertext through the streamed path.
                 let mut ct = plain.clone();
-                let pa0 = streamed.layer_pa(layer);
-                for (i, chunk) in ct.chunks_mut(BLOCK).enumerate() {
-                    pads.apply(CounterSeed::new(pa0 + (i * BLOCK) as u64, 1), chunk);
-                }
+                pads.apply_region(streamed.layer_pa(layer), 1, &mut ct);
                 streamed
                     .install_sealed_layer(layer, &ct)
                     .expect("install streamed layer");
@@ -568,6 +577,53 @@ mod tests {
                 config.name
             );
         }
+    }
+
+    /// Seals a fixed two-region spec under `config` and returns the model
+    /// root and the SHA-256 of the off-chip bytes, in hex.
+    fn pinned_format(config: &str) -> (u64, String) {
+        let config = ProtectConfig::by_name(config).expect("known config");
+        let mut img =
+            ProtectedImage::new(config, &[256, 128], [0x2b; 16], [0x7e; 16]).expect("valid");
+        img.write_layer(0, &data(256, 0x5a)).expect("write");
+        img.write_layer(1, &data(128, 0xc3)).expect("write");
+        let digest = seda_crypto::sha256::Sha256::digest(img.offchip_bytes());
+        let hex = digest.iter().map(|b| format!("{b:02x}")).collect();
+        (img.model_root().0, hex)
+    }
+
+    // The at-rest format pins: absolute ciphertext and root, one per pad
+    // generator. Every other image test compares one image with another,
+    // so only these catch a change to the pads, the PA layout or the MAC.
+    #[test]
+    fn at_rest_format_is_pinned_under_baes_pads() {
+        let (root, digest) = pinned_format("layer-mac");
+        assert_eq!(root, 0x41a3f7aaf6e645c9);
+        assert_eq!(
+            digest,
+            "9c55334bc17226346dd451e93b037e0a1f347b598433b199866c82640537b098"
+        );
+    }
+
+    #[test]
+    fn at_rest_format_is_pinned_under_shared_pads() {
+        let (root, digest) = pinned_format("shared-otp");
+        assert_eq!(root, 0x471c0fd821953475);
+        assert_eq!(
+            digest,
+            "50797881ccdd899215ff707af4b240d33f5bf5024380c403976134ae69c88368"
+        );
+    }
+
+    #[test]
+    fn layer_mac_localizes_a_flipped_bit_to_its_layer() {
+        let mut img = image("layer-mac");
+        img.write_layer(0, &data(256, 3)).expect("write");
+        img.write_layer(1, &data(128, 4)).expect("write");
+        img.flip_ciphertext_bit(256 + 17, 7); // layer 1, block 0
+        let err = img.read_model().expect_err("tamper detected");
+        let v = err.integrity().expect("integrity violation");
+        assert_eq!((v.layer, v.block, v.pa), (1, None, 256));
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub mod rng;
 pub use chaos::{FaultKind, FaultPlan, PlannedFault};
 pub use config::{Binding, MacLevel, PadGen, ProtectConfig};
 pub use fault::{seca_probe, Experiment, TamperClass};
-pub use image::{OffChipSnapshot, ProtectedImage, BLOCK, SEGMENT};
+pub use image::{layer_pas, OffChipSnapshot, Pads, ProtectedImage, BLOCK, SEGMENT};
 pub use matrix::{expected_verdict, run_cell, CellOutcome, DetectionMatrix, Verdict};
 pub use rng::Rng;
 

@@ -21,7 +21,10 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let model: Model = match args.get(1) {
         Some(path) => {
-            let text = std::fs::read_to_string(path).expect("readable topology file");
+            let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+                eprintln!("error: cannot read topology {path}: {e}");
+                std::process::exit(1);
+            });
             match parse_topology("custom", &text) {
                 Ok(m) => m,
                 Err(e) => {

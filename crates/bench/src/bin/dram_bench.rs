@@ -26,6 +26,8 @@
 //! kernel's per-point replay time exceeds the threshold, so CI pins the
 //! fast path's speed alongside its correctness.
 //!
+//! A malformed command line exits 2 with a usage line.
+//!
 //! Usage: `cargo run --release -p seda-bench --bin dram_bench
 //! [out.json] [--max-ms-per-point <ms>]`
 //!
@@ -37,7 +39,7 @@ use seda::models::zoo;
 use seda::pipeline::{dram_config_for, LoweredTrace};
 use seda::protect::scheme_by_name;
 use seda::scalesim::{NpuConfig, TraceCache};
-use seda_bench::round6;
+use seda_bench::{finite_flag, round6, usage_exit};
 use serde::Serialize;
 use std::time::Instant;
 
@@ -138,16 +140,19 @@ impl StreakHistogram {
     }
 }
 
+const USAGE: &str = "usage: dram_bench [out.json] [--max-ms-per-point <ms>]";
+
 fn main() {
     let mut out_path = "BENCH_dram.json".to_owned();
     let mut max_ms_per_point: Option<f64> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        if arg == "--max-ms-per-point" {
-            let v = args.next().expect("--max-ms-per-point needs a value");
-            max_ms_per_point = Some(v.parse().expect("--max-ms-per-point must be a number"));
-        } else {
-            out_path = arg;
+        match arg.as_str() {
+            "--max-ms-per-point" => {
+                max_ms_per_point = Some(finite_flag(&mut args, "--max-ms-per-point", USAGE));
+            }
+            flag if flag.starts_with("--") => usage_exit(USAGE, &format!("unknown flag {flag:?}")),
+            other => out_path = other.to_owned(),
         }
     }
     let npus = [NpuConfig::server(), NpuConfig::edge()];

@@ -22,7 +22,10 @@ fn main() {
         eprintln!("usage: replay_trace <trace-file> [scheme] [server|edge]");
         std::process::exit(1);
     };
-    let text = std::fs::read_to_string(path).expect("readable trace file");
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!("error: cannot read trace {path}: {e}");
+        std::process::exit(1);
+    });
     let bursts = match parse_trace(&text) {
         Ok(b) => b,
         Err(e) => {

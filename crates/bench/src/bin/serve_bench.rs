@@ -10,11 +10,12 @@
 //!
 //! With `--max-ms <ms>` the run additionally acts as a regression gate:
 //! the timed simulation exceeding the budget fails the process.
+//! A malformed command line exits 2 with a usage line.
 //!
 //! Usage: `cargo run --release -p seda-bench --bin serve_bench --
 //! [out.json] [--requests <n>] [--max-ms <ms>]`
 
-use seda_bench::round6;
+use seda_bench::{finite_flag, round6, usage_exit};
 use seda_serve::{simulate, ArrivalSim, BurstSim, DiurnalSim, Scheduler, SimSpec, TenantSim};
 use serde::Serialize;
 use std::time::Instant;
@@ -104,6 +105,8 @@ fn bench_spec(requests: u64) -> SimSpec {
     }
 }
 
+const USAGE: &str = "usage: serve_bench [out.json] [--requests <n>] [--max-ms <ms>]";
+
 fn main() {
     let mut out_path = "BENCH_serve.json".to_owned();
     let mut max_ms: Option<f64> = None;
@@ -111,14 +114,12 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--max-ms" => {
-                let v = args.next().expect("--max-ms needs a value");
-                max_ms = Some(v.parse().expect("--max-ms must be a number"));
-            }
-            "--requests" => {
-                let v = args.next().expect("--requests needs a value");
-                requests = v.parse().expect("--requests must be an integer");
-            }
+            "--max-ms" => max_ms = Some(finite_flag(&mut args, "--max-ms", USAGE)),
+            "--requests" => match args.next().map(|v| v.parse::<u64>()) {
+                Some(Ok(n)) if n > 0 => requests = n,
+                _ => usage_exit(USAGE, "--requests wants a positive integer"),
+            },
+            flag if flag.starts_with("--") => usage_exit(USAGE, &format!("unknown flag {flag:?}")),
             other => out_path = other.to_owned(),
         }
     }

@@ -18,7 +18,7 @@
 
 use seda::models::zoo;
 use seda_adversary::ProtectConfig;
-use seda_bench::round6;
+use seda_bench::{finite_flag, round6, usage_exit};
 use seda_stream::{measure, model_lens, seal, StreamSpec};
 use serde::Serialize;
 
@@ -52,12 +52,7 @@ struct BenchRecord {
     deterministic: bool,
 }
 
-/// Prints the usage line with `problem` and exits 2.
-fn usage(problem: &str) -> ! {
-    eprintln!("error: {problem}");
-    eprintln!("usage: stream_bench [out.json] [--min-gbps <g>]");
-    std::process::exit(2);
-}
+const USAGE: &str = "usage: stream_bench [out.json] [--min-gbps <g>]";
 
 fn main() {
     let mut out_path = "BENCH_stream.json".to_owned();
@@ -65,16 +60,8 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--min-gbps" => {
-                let Some(v) = args.next() else {
-                    usage("--min-gbps needs a value")
-                };
-                match v.parse::<f64>() {
-                    Ok(g) if g.is_finite() => min_gbps = Some(g),
-                    _ => usage(&format!("--min-gbps wants a number, got {v:?}")),
-                }
-            }
-            flag if flag.starts_with("--") => usage(&format!("unknown flag {flag:?}")),
+            "--min-gbps" => min_gbps = Some(finite_flag(&mut args, "--min-gbps", USAGE)),
+            flag if flag.starts_with("--") => usage_exit(USAGE, &format!("unknown flag {flag:?}")),
             other => out_path = other.to_owned(),
         }
     }

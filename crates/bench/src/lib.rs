@@ -76,6 +76,27 @@ pub fn npu_arg_or_exit(name: Option<&str>) -> seda::scalesim::NpuConfig {
     })
 }
 
+/// Prints `problem` and the binary's `usage` line to stderr and exits 2:
+/// the malformed-command-line contract of the CI-gate bench binaries.
+pub fn usage_exit(usage: &str, problem: &str) -> ! {
+    eprintln!("error: {problem}");
+    eprintln!("{usage}");
+    std::process::exit(2);
+}
+
+/// Takes the value of gate flag `flag` from `args` as a finite number.
+/// A missing, malformed or non-finite value (a `nan` bound would make
+/// its gate unable to fail) exits 2 through [`usage_exit`].
+pub fn finite_flag(args: &mut impl Iterator<Item = String>, flag: &str, usage: &str) -> f64 {
+    let Some(v) = args.next() else {
+        usage_exit(usage, &format!("{flag} needs a value"))
+    };
+    match v.parse::<f64>() {
+        Ok(x) if x.is_finite() => x,
+        _ => usage_exit(usage, &format!("{flag} wants a number, got {v:?}")),
+    }
+}
+
 /// Rounds a benchmark float to six decimal places.
 ///
 /// The bench binaries archive their records as JSON artifacts; raw

@@ -6,9 +6,10 @@
 //! snapshot, and `seda_cli stream` must exit 3 on a malformed stream
 //! spec and 4 on a tampered block with the `seda-stream/v2` snapshot
 //! written before the nonzero exit, an unwritable output path must
-//! exit 1 without a panic, a malformed `stream_bench` command line or
-//! `seda_cli run` repeat count must exit 2 with a usage line, and an
-//! unknown NPU name must exit 1. Each scenario-backed test spawns
+//! exit 1 without a panic, a malformed `stream_bench`, `dram_bench` or
+//! `serve_bench` command line or `seda_cli run` repeat count must exit 2
+//! with a usage line, an unreadable input file must exit 1 naming it,
+//! and an unknown NPU name must exit 1. Each scenario-backed test spawns
 //! the real binary against a private scenario registry under a temp
 //! directory (`SEDA_SCENARIOS`).
 
@@ -338,6 +339,53 @@ fn malformed_stream_bench_args_exit_2_with_usage() {
             "{args:?}:\n{stderr}"
         );
         assert!(!stderr.contains("panicked"), "{args:?}:\n{stderr}");
+    }
+}
+
+/// The CI-gate binaries reject a missing, malformed or non-finite gate
+/// value with exit 2 and a usage line. A `nan` budget would otherwise
+/// parse and make the gate unable to fail.
+#[test]
+fn malformed_gate_bench_args_exit_2_with_usage() {
+    let dram = env!("CARGO_BIN_EXE_dram_bench");
+    let serve = env!("CARGO_BIN_EXE_serve_bench");
+    for (exe, args) in [
+        (dram, &["--max-ms-per-point"][..]),
+        (dram, &["--max-ms-per-point", "fast"][..]),
+        (dram, &["--max-ms-per-point", "nan"][..]),
+        (serve, &["--max-ms"][..]),
+        (serve, &["--max-ms", "inf"][..]),
+        (serve, &["--requests", "many"][..]),
+    ] {
+        let out = Command::new(exe).args(args).output().expect("spawns");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let name = Path::new(exe).file_stem().expect("binary name");
+        let usage = format!("usage: {}", name.to_string_lossy());
+        assert_eq!(out.status.code(), Some(2), "{exe} {args:?}:\n{stderr}");
+        assert!(stderr.contains(&usage), "{exe} {args:?}:\n{stderr}");
+        assert!(!stderr.contains("panicked"), "{exe} {args:?}:\n{stderr}");
+    }
+}
+
+/// An input file that cannot be read is a clean error: exit 1 with the
+/// path and the I/O error on stderr, not a panic.
+#[test]
+fn unreadable_input_file_exits_1_naming_the_path() {
+    let reg = TempRegistry::new("unreadable", &[]);
+    let missing = reg.path("no-such-input.csv");
+    let missing = missing.to_str().expect("utf-8 temp path");
+    for exe in [
+        env!("CARGO_BIN_EXE_custom_topology"),
+        env!("CARGO_BIN_EXE_replay_trace"),
+    ] {
+        let out = Command::new(exe).arg(missing).output().expect("spawns");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{exe}:\n{stderr}");
+        assert!(!stderr.contains("panicked"), "{exe}:\n{stderr}");
+        assert!(
+            stderr.contains(missing),
+            "{exe} must name the path:\n{stderr}"
+        );
     }
 }
 

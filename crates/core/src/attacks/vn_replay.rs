@@ -88,7 +88,7 @@ pub fn inferences_until_overflow(vn_bits: u32, layers: u32) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sealing::synthetic_weights;
+    use crate::functional::synthetic_weights;
     use seda_protect::OnChipVn;
 
     #[test]

@@ -11,7 +11,6 @@
 //! tampering is detected before results are consumed.**
 
 use crate::error::SedaError;
-use crate::sealing::synthetic_weights;
 use seda_crypto::ctr::CounterSeed;
 use seda_crypto::mac::{BlockPosition, MacTag, PositionBoundMac, XorAccumulator};
 use seda_crypto::otp::{BandwidthAwareOtp, OtpStrategy};
@@ -290,6 +289,24 @@ pub fn execute_layer(layer: &Layer, ifmap: &[u8], weights: &[u8]) -> Vec<u8> {
     }
 }
 
+/// Deterministic synthetic weights for layer `layer_idx` of a model
+/// (xorshift64-star over the layer index; ~30% exact zeros to mimic
+/// pruned-network sparsity, which is what makes SECA dangerous). They
+/// stand in for the trained parameters the paper's artifact loads from
+/// disk.
+pub fn synthetic_weights(layer_idx: u32, bytes: u64) -> Vec<u8> {
+    let mut state = (u64::from(layer_idx) + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    let mut out = Vec::with_capacity(bytes as usize);
+    for _ in 0..bytes {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        let b = (state >> 32) as u8;
+        out.push(if b < 77 { 0 } else { b });
+    }
+    out
+}
+
 /// Runs a whole model unprotected (the reference the secure path must
 /// match bit-for-bit). Weights are [`synthetic_weights`]; the input is the
 /// caller's.
@@ -393,6 +410,15 @@ mod tests {
 
     fn lenet_input() -> Vec<u8> {
         (0..32 * 32).map(|i| (i % 23) as u8).collect()
+    }
+
+    #[test]
+    fn synthetic_weights_are_sparse_and_deterministic() {
+        let w = synthetic_weights(5, 10_000);
+        assert_eq!(w, synthetic_weights(5, 10_000));
+        let zeros = w.iter().filter(|&&b| b == 0).count();
+        assert!(zeros > 2_000 && zeros < 4_500, "zeros: {zeros}");
+        assert_ne!(w, synthetic_weights(6, 10_000));
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //!   [`seda_hw`] models its area/power advantage (Fig. 4).
 //! * **Multi-level integrity verification** — [`seda_protect::seda`]
 //!   models optBlk/layer/model MACs with near-zero off-chip traffic;
-//!   [`optblk`] implements the SecureLoop-style granularity search and
-//!   [`attacks::repa`] the re-permutation attack/defense (Algorithm 2).
+//!   [`optblk`] implements the SecureLoop-style granularity search. The
+//!   encrypted at-rest image and the re-permutation attack/defense
+//!   (Algorithm 2) live in the `seda-adversary` crate.
 //! * **Evaluation pipeline** — [`pipeline`] runs a workload through the
 //!   SCALE-Sim-style accelerator model ([`seda_scalesim`]), a protection
 //!   scheme ([`seda_protect`]), and the DRAM timing simulator
@@ -48,7 +49,6 @@ pub mod pipeline;
 pub mod report;
 pub mod resilience;
 pub mod scenario;
-pub mod sealing;
 pub mod sweep;
 
 pub use error::SedaError;
@@ -63,7 +63,6 @@ pub use resilience::{
     JournalWriter, PointContext, PointFailure, PointReport, CHECKPOINT_SCHEMA,
 };
 pub use scenario::{Scenario, ScenarioError, ScenarioRun};
-pub use sealing::{seal_model, unseal_layer, verify_model, SealedModel, SealingKeys};
 pub use sweep::{Sweep, SweepResults, SweepStats};
 
 // Re-export the substrate crates under one roof for downstream users.

@@ -53,8 +53,6 @@ pub mod sha256;
 pub use aes::Aes128;
 pub use ctr::{AesCtr, CounterSeed};
 pub use engine::{EngineKind, EngineSizingError, EngineTiming};
-pub use mac::{
-    BlockPosition, MacTag, PositionBoundMac, PositionlessMac, TagMismatch, XorAccumulator,
-};
+pub use mac::{BlockPosition, MacTag, PositionBoundMac, TagMismatch, XorAccumulator};
 pub use otp::{BandwidthAwareOtp, OtpStrategy, SharedOtp, TraditionalOtp};
 pub use sha256::Sha256;

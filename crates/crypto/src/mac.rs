@@ -1,14 +1,12 @@
 //! Message authentication codes for protected data blocks, and the XOR-MAC
 //! layer folding that SeDA's multi-level integrity verification uses.
 //!
-//! Two MAC constructions are provided:
-//!
-//! * [`PositionlessMac`] — hashes only the ciphertext (plus `PA || VN`), the
-//!   construction Securator-style layer checks implicitly rely on. XOR-folding
-//!   these is vulnerable to the Re-Permutation Attack (RePA, Algorithm 2).
-//! * [`PositionBoundMac`] — SeDA's defense: binds `layer_id`, `fmap_idx` and
-//!   `blk_idx` into each optBlk MAC (Algorithm 2 lines 7-8), so a shuffled
-//!   layer no longer XOR-folds to the same layer MAC.
+//! [`PositionBoundMac`] is SeDA's defense against the Re-Permutation Attack
+//! (RePA, Algorithm 2): it binds `layer_id`, `fmap_idx` and `blk_idx` into
+//! each optBlk MAC (Algorithm 2 lines 7-8), so a shuffled layer no longer
+//! XOR-folds to the same layer MAC. With the address, version and position
+//! zeroed it hashes the ciphertext alone — the construction Securator-style
+//! layer checks rely on, whose XOR fold RePA defeats.
 
 use crate::sha256::hmac_sha256;
 
@@ -125,31 +123,6 @@ fn truncate(digest: &[u8; 32]) -> MacTag {
     MacTag(u64::from_be_bytes(
         digest[..8].try_into().expect("8-byte prefix"),
     ))
-}
-
-/// The naive block MAC: `HMAC_K(blk || PA || VN)`.
-///
-/// Freshness per block is sound, but XOR-folding these into a layer MAC is
-/// order-insensitive — see [`crate::mac::xor_fold`] and the RePA attack.
-#[derive(Debug, Clone)]
-pub struct PositionlessMac {
-    key: [u8; 16],
-}
-
-impl PositionlessMac {
-    /// Creates a MAC engine under `key`.
-    pub fn new(key: [u8; 16]) -> Self {
-        Self { key }
-    }
-
-    /// MACs a ciphertext block bound to its address and version.
-    pub fn tag(&self, blk: &[u8], pa: u64, vn: u64) -> MacTag {
-        let mut msg = Vec::with_capacity(blk.len() + 16);
-        msg.extend_from_slice(blk);
-        msg.extend_from_slice(&pa.to_be_bytes());
-        msg.extend_from_slice(&vn.to_be_bytes());
-        truncate(&hmac_sha256(&self.key, &msg))
-    }
 }
 
 /// SeDA's position-bound optBlk MAC:
@@ -307,10 +280,11 @@ mod tests {
 
     #[test]
     fn incremental_replace_equals_rebuild() {
-        let mac = PositionlessMac::new([2u8; 16]);
-        let old = mac.tag(b"old", 0x40, 0);
-        let new = mac.tag(b"new", 0x40, 1);
-        let other = mac.tag(b"other", 0x80, 0);
+        let mac = PositionBoundMac::new([2u8; 16]);
+        let pos = BlockPosition::default();
+        let old = mac.tag(b"old", 0x40, 0, pos);
+        let new = mac.tag(b"new", 0x40, 1, pos);
+        let other = mac.tag(b"other", 0x80, 0, pos);
         let mut acc = XorAccumulator::new();
         acc.add(old);
         acc.add(other);

@@ -6,8 +6,8 @@
 //! Two properties distinguish it from SeDA and motivate §III's attacks:
 //!
 //! * its layer check hashes ciphertext without position binding, so it is
-//!   vulnerable to the Re-Permutation Attack (Algorithm 2) — see
-//!   `seda-core`'s `attacks::repa`;
+//!   vulnerable to the Re-Permutation Attack (Algorithm 2) — see the
+//!   `layer-ct` configuration of `seda-adversary`'s detection matrix;
 //! * its fixed 32 B hash granularity ignores tile overlap, so halo rows
 //!   re-fetched by neighbouring strips are re-hashed every time. The
 //!   redundant work is tracked in [`SecuratorScheme::redundant_hash_bytes`]

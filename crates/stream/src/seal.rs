@@ -2,10 +2,8 @@
 
 use crate::frame::{encode_frame, encode_header, frame_mac, FRAME_BYTES};
 use seda::SedaError;
-use seda_adversary::{PadGen, ProtectConfig, BLOCK};
-use seda_crypto::ctr::CounterSeed;
+use seda_adversary::{layer_pas, Pads, ProtectConfig, BLOCK};
 use seda_crypto::mac::PositionBoundMac;
-use seda_crypto::otp::{BandwidthAwareOtp, OtpStrategy, SharedOtp};
 
 /// Everything both ends of a provisioning stream agree on out of band:
 /// identity, key material, and the sealed model's geometry.
@@ -40,18 +38,12 @@ impl StreamSpec {
         (self.total_bytes() / BLOCK) as u64
     }
 
-    /// Base physical address of each layer region (contiguous packing,
-    /// matching [`ProtectedImage`] layout).
+    /// Base physical address of each layer region: the
+    /// [`ProtectedImage`] layout, from [`layer_pas`].
     ///
     /// [`ProtectedImage`]: seda_adversary::ProtectedImage
     pub fn layer_pas(&self) -> Vec<u64> {
-        let mut pas = Vec::with_capacity(self.lens.len());
-        let mut next = 0u64;
-        for &len in &self.lens {
-            pas.push(next);
-            next += len as u64;
-        }
-        pas
+        layer_pas(&self.lens)
     }
 
     /// Validates the geometry.
@@ -81,29 +73,6 @@ impl StreamSpec {
             });
         }
         Ok(())
-    }
-
-    pub(crate) fn pads(&self) -> PadEngine {
-        match self.config.pad {
-            PadGen::Shared => PadEngine::Shared(SharedOtp::new(self.enc_key)),
-            PadGen::BAes => PadEngine::BAes(BandwidthAwareOtp::new(self.enc_key)),
-        }
-    }
-}
-
-/// Pad generator dispatch mirroring the at-rest image's.
-#[derive(Debug, Clone)]
-pub(crate) enum PadEngine {
-    Shared(SharedOtp),
-    BAes(BandwidthAwareOtp),
-}
-
-impl PadEngine {
-    pub(crate) fn apply(&self, seed: CounterSeed, data: &mut [u8]) {
-        match self {
-            PadEngine::Shared(p) => p.apply(seed, data),
-            PadEngine::BAes(p) => p.apply(seed, data),
-        }
     }
 }
 
@@ -229,7 +198,7 @@ pub fn seal(spec: &StreamSpec, layers: &[Vec<u8>]) -> Result<SealedStream, SedaE
         }
     }
     let transport = PositionBoundMac::new(spec.transport_key);
-    let pads = spec.pads();
+    let pads = Pads::new(spec.config.pad, spec.enc_key);
     let pas = spec.layer_pas();
     let blocks_per_layer: Vec<u32> = spec.lens.iter().map(|&l| (l / BLOCK) as u32).collect();
     let mut bytes = encode_header(
@@ -249,20 +218,19 @@ pub fn seal(spec: &StreamSpec, layers: &[Vec<u8>]) -> Result<SealedStream, SedaE
     );
     let mut seq = 0u64;
     for (layer, plain) in layers.iter().enumerate() {
-        for (blk, chunk) in plain.chunks(BLOCK).enumerate() {
-            let pa = pas[layer] + (blk * BLOCK) as u64;
-            let mut ct = chunk.to_vec();
-            pads.apply(CounterSeed::new(pa, 1), &mut ct);
+        let mut layer_ct = plain.clone();
+        pads.apply_region(pas[layer], 1, &mut layer_ct);
+        for (blk, ct) in layer_ct.chunks(BLOCK).enumerate() {
             let mac = frame_mac(
                 &transport,
                 spec.stream_id,
                 seq,
                 layer as u32,
                 blk as u32,
-                &ct,
+                ct,
                 chain,
             );
-            bytes.extend_from_slice(&encode_frame(seq, layer as u32, blk as u32, &ct, mac));
+            bytes.extend_from_slice(&encode_frame(seq, layer as u32, blk as u32, ct, mac));
             chain = mac;
             seq += 1;
         }

@@ -4,10 +4,10 @@
 //!
 //! Run with: `cargo run --release -p seda-examples --example attack_demo`
 
-use seda::attacks::repa::{mount_repa, MacBinding, ProtectedLayer};
 use seda::attacks::seca::{mount_seca, sparse_block};
 use seda::crypto::ctr::CounterSeed;
 use seda::crypto::otp::{BandwidthAwareOtp, SharedOtp};
+use seda_adversary::{ProtectConfig, ProtectedImage};
 
 fn main() {
     println!("=== Attack 1: SECA (single-element collision, Algorithm 1) ===\n");
@@ -40,36 +40,35 @@ fn main() {
 
     println!("\n=== Attack 2: RePA (re-permutation, Algorithm 2) ===\n");
     let activations: Vec<u8> = (0..32 * 64).map(|i| (i as u8).wrapping_mul(13)).collect();
-
-    let mut weak = ProtectedLayer::seal(&activations, 64, 0x20_0000, 9, MacBinding::CiphertextOnly);
-    let attack = mount_repa(&mut weak, &activations);
-    println!(
-        "ciphertext-only MACs: verification {} after shuffle, {:.1}% of data intact -> {}",
-        if attack.verification_passed {
-            "PASSES"
-        } else {
-            "fails"
-        },
-        attack.decryption_accuracy * 100.0,
-        if attack.success {
-            "SILENT CORRUPTION"
-        } else {
-            "safe"
+    for (label, config) in [
+        ("ciphertext-only MACs (layer-ct):", "layer-ct"),
+        ("position-bound MACs (layer-mac):", "layer-mac"),
+    ] {
+        let config = ProtectConfig::by_name(config).expect("matrix config");
+        let mut image = ProtectedImage::new(config, &[activations.len()], [0x5e; 16], [0xda; 16])
+            .expect("whole-block layer");
+        image.write_layer(0, &activations).expect("layer fits");
+        // SHUFFLEORDER: swap every pair of neighbouring blocks in place.
+        for i in 0..image.blocks_in(0) / 2 {
+            image.swap_blocks(0, 2 * i, 0, 2 * i + 1);
         }
-    );
-
-    let mut strong =
-        ProtectedLayer::seal(&activations, 64, 0x20_0000, 9, MacBinding::PositionBound);
-    let defended = mount_repa(&mut strong, &activations);
-    println!(
-        "position-bound MACs:  verification {} after shuffle -> {}",
-        if defended.verification_passed {
-            "passes"
-        } else {
-            "FAILS (tamper detected)"
-        },
-        if defended.success { "broken" } else { "safe" }
-    );
+        match image.read_layer(0) {
+            Ok(read) => {
+                let same = read.iter().zip(&activations).filter(|(a, b)| a == b);
+                let share = same.count() as f64 / activations.len() as f64;
+                println!(
+                    "{label} verification PASSES after shuffle, {:.1}% of data intact -> {}",
+                    share * 100.0,
+                    if share < 0.5 {
+                        "SILENT CORRUPTION"
+                    } else {
+                        "safe"
+                    }
+                );
+            }
+            Err(e) => println!("{label} verification FAILS after shuffle ({e}) -> safe"),
+        }
+    }
 
     println!("\nBoth defenses are structural: per-segment pads from the AES key");
     println!("schedule (B-AES) and position fields inside each optBlk MAC.");

@@ -1,8 +1,8 @@
 //! Consistency checks between the functional (value-level) and timing
 //! (trace-level) views of the same secure accelerator.
 
-use seda::functional::{run_protected, run_reference, SecureMemory};
-use seda::sealing::{seal_model, synthetic_weights, verify_model, SealingKeys};
+use seda::functional::{run_protected, run_reference, synthetic_weights, SecureMemory};
+use seda_adversary::{ProtectConfig, ProtectedImage, BLOCK};
 use seda_models::zoo;
 use seda_scalesim::{simulate_model, AddressMap, NpuConfig, TensorKind};
 
@@ -28,17 +28,34 @@ fn timing_trace_addresses_fit_the_functional_memory() {
 
 #[test]
 fn functional_weights_match_sealed_weights() {
-    // The functional simulator and the sealing flow must agree on the
+    // The functional simulator and the at-rest image must agree on the
     // synthetic weights for each layer (same generator, same sizes).
     let model = zoo::lenet();
-    let keys = SealingKeys::new([0x2b; 16], [0x7e; 16]);
-    let sealed = seal_model(&keys, &model);
-    for (idx, layer) in model.layers().iter().enumerate() {
-        let expected = synthetic_weights(idx as u32, layer.filter_bytes());
-        let unsealed = seda::sealing::unseal_layer(&keys, &sealed.layers[idx]);
-        assert_eq!(unsealed, expected, "layer {idx} weights diverge");
+    let weights: Vec<Vec<u8>> = model
+        .layers()
+        .iter()
+        .enumerate()
+        .map(|(idx, layer)| synthetic_weights(idx as u32, layer.filter_bytes()))
+        .collect();
+    let lens: Vec<usize> = weights
+        .iter()
+        .map(|w| w.len().div_ceil(BLOCK) * BLOCK)
+        .collect();
+    let config = ProtectConfig::by_name("layer-mac").expect("matrix config");
+    let mut image = ProtectedImage::new(config, &lens, [0x2b; 16], [0x7e; 16]).expect("ok");
+    for (idx, w) in weights.iter().enumerate() {
+        let mut region = w.clone();
+        region.resize(lens[idx], 0);
+        image.write_layer(idx, &region).expect("layer fits");
     }
-    assert!(verify_model(&keys, &sealed).is_ok());
+    let unsealed = image.read_model().expect("an honest image verifies");
+    for (idx, expected) in weights.iter().enumerate() {
+        assert_eq!(
+            &unsealed[idx][..expected.len()],
+            &expected[..],
+            "layer {idx} weights diverge"
+        );
+    }
 }
 
 #[test]

@@ -2,10 +2,10 @@
 //! layers: the full write-path/read-path lifecycle of protected tensors,
 //! plus both paper attacks mounted against the real cipher and MACs.
 
-use seda::attacks::repa::{mount_repa, MacBinding, ProtectedLayer};
 use seda::attacks::seca::{mount_seca, sparse_block};
+use seda_adversary::{ProtectConfig, ProtectedImage, BLOCK};
 use seda_crypto::ctr::CounterSeed;
-use seda_crypto::mac::{BlockPosition, PositionBoundMac, XorAccumulator};
+use seda_crypto::mac::{BlockPosition, MacTag, PositionBoundMac, XorAccumulator};
 use seda_crypto::otp::{BandwidthAwareOtp, OtpStrategy, SharedOtp, TraditionalOtp};
 
 #[test]
@@ -84,31 +84,54 @@ fn baes_and_taes_agree_on_security_but_not_cost() {
     assert!(baes.aes_evaluations(segments) * 8 <= taes.aes_evaluations(segments));
 }
 
+/// Seals `pt` as a one-layer image under the named matrix configuration,
+/// swaps blocks `(2i, 2i+1)` (Algorithm 2's SHUFFLEORDER), and returns
+/// the share of plaintext bytes intact if the layer still verifies.
+fn repa_intact_share(config: &str, pt: &[u8]) -> Option<f64> {
+    let config = ProtectConfig::by_name(config).expect("matrix config");
+    let mut image = ProtectedImage::new(config, &[pt.len()], [0x5e; 16], [0xda; 16]).expect("ok");
+    image.write_layer(0, pt).expect("layer fits");
+    for i in 0..image.blocks_in(0) / 2 {
+        image.swap_blocks(0, 2 * i, 0, 2 * i + 1);
+    }
+    let read = image.read_layer(0).ok()?;
+    let same = read.iter().zip(pt).filter(|(a, b)| a == b).count();
+    Some(same as f64 / pt.len() as f64)
+}
+
 #[test]
 fn repa_matrix_over_block_sizes() {
-    for block_bytes in [64usize, 128, 256] {
-        let pt: Vec<u8> = (0..block_bytes * 8).map(|i| (i % 251) as u8).collect();
-        let mut weak =
-            ProtectedLayer::seal(&pt, block_bytes, 0x5000, 2, MacBinding::CiphertextOnly);
+    // The image has one optBlk size (64 B); the attack is swept over the
+    // number of blocks in the shuffled layer instead.
+    for blocks in [2usize, 8, 64] {
+        let pt: Vec<u8> = (0..BLOCK * blocks).map(|i| (i % 251) as u8).collect();
+        let weak = repa_intact_share("layer-ct", &pt);
         assert!(
-            mount_repa(&mut weak, &pt).success,
-            "RePA must break positionless MACs at {block_bytes}B blocks"
+            weak.is_some_and(|share| share < 0.5),
+            "RePA must break positionless MACs over {blocks} blocks: {weak:?}"
         );
-        let mut strong =
-            ProtectedLayer::seal(&pt, block_bytes, 0x5000, 2, MacBinding::PositionBound);
-        assert!(
-            !mount_repa(&mut strong, &pt).success,
-            "position binding must hold at {block_bytes}B blocks"
+        assert_eq!(
+            repa_intact_share("layer-mac", &pt),
+            None,
+            "position binding must hold over {blocks} blocks"
         );
     }
 }
 
 #[test]
 fn distinct_layers_produce_distinct_layer_macs() {
-    // The same data sealed as layer 1 vs layer 2 must not share a MAC —
-    // otherwise whole layers could be transplanted.
+    // The same data sealed as layer 0 and layer 1 must not share a MAC —
+    // otherwise whole layers could be transplanted. Equal layer MACs
+    // would cancel in the XOR-folded model root.
     let pt: Vec<u8> = vec![0x77; 512];
-    let a = ProtectedLayer::seal(&pt, 64, 0x1000, 1, MacBinding::PositionBound);
-    let b = ProtectedLayer::seal(&pt, 64, 0x1000, 2, MacBinding::PositionBound);
-    assert_ne!(a.layer_mac, b.layer_mac);
+    let config = ProtectConfig::by_name("layer-mac").expect("matrix config");
+    let mut image = ProtectedImage::new(config, &[512, 512], [3; 16], [4; 16]).expect("ok");
+    image.write_layer(0, &pt).expect("layer fits");
+    image.write_layer(1, &pt).expect("layer fits");
+    assert_ne!(image.model_root(), MacTag(0));
+    // And the transplant itself is caught.
+    for blk in 0..image.blocks_in(0) {
+        image.swap_blocks(0, blk, 1, blk);
+    }
+    assert!(image.read_model().is_err(), "layer transplant must fail");
 }
