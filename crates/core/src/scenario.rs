@@ -56,6 +56,12 @@ use std::fmt;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
+/// Largest accepted `block_mac` metadata-cache override, in KB: 16 MiB,
+/// 1000× the paper's caches. Caches are allocated whole up front, so the
+/// cap keeps a typo from requesting a huge (or, past `2^54` KB, wrapped)
+/// capacity.
+pub const MAX_META_CACHE_KB: u64 = 16 << 10;
+
 /// Environment variable overriding the scenario directory location.
 pub const SCENARIOS_ENV: &str = "SEDA_SCENARIOS";
 
@@ -263,13 +269,16 @@ pub enum SchemeSpec {
     BlockMac {
         /// `"sgx"` or `"mgx"` (case-insensitive).
         kind: String,
-        /// Protection-block granularity in bytes (positive multiple of 64).
+        /// Protection-block granularity in bytes (a positive multiple of
+        /// 64 that divides [`PROTECTED_BYTES`]).
         granularity: u64,
         /// MAC cache capacity override in KB (default
-        /// [`DEFAULT_MAC_CACHE_BYTES`], 8 KB).
+        /// [`DEFAULT_MAC_CACHE_BYTES`], 8 KB; at most
+        /// [`MAX_META_CACHE_KB`]).
         mac_cache_kb: Option<u64>,
         /// VN cache capacity override in KB (default
-        /// [`DEFAULT_VN_CACHE_BYTES`], 16 KB).
+        /// [`DEFAULT_VN_CACHE_BYTES`], 16 KB; at most
+        /// [`MAX_META_CACHE_KB`]).
         vn_cache_kb: Option<u64>,
     },
 }
@@ -330,10 +339,27 @@ impl SchemeSpec {
                         ),
                     });
                 }
-                if matches!(mac_cache_kb, Some(0)) || matches!(vn_cache_kb, Some(0)) {
+                // The MAC array sits right above the protected region, so
+                // the region must be a whole number of protection blocks.
+                if !PROTECTED_BYTES.is_multiple_of(*granularity) {
                     return Err(ScenarioError::BadSpec {
-                        reason: "block_mac metadata caches need a nonzero capacity".to_owned(),
+                        reason: format!(
+                            "block_mac granularity {granularity} does not divide the \
+                             {PROTECTED_BYTES}-byte protected region"
+                        ),
                     });
+                }
+                for (cache, kb) in [("mac_cache_kb", mac_cache_kb), ("vn_cache_kb", vn_cache_kb)] {
+                    if let Some(kb) = *kb {
+                        if kb == 0 || kb > MAX_META_CACHE_KB {
+                            return Err(ScenarioError::BadSpec {
+                                reason: format!(
+                                    "block_mac {cache} must be in 1..={MAX_META_CACHE_KB}, \
+                                     got {kb}"
+                                ),
+                            });
+                        }
+                    }
                 }
                 Ok(())
             }
@@ -2182,6 +2208,48 @@ mod tests {
         let e = expect_scenario_err(&json);
         assert!(matches!(e, ScenarioError::BadSpec { .. }), "{e}");
         assert!(e.to_string().contains("granularity"), "{e}");
+    }
+
+    #[test]
+    fn granularity_must_divide_the_protected_region() {
+        let json = minimal_json().replace(
+            "\"SeDA\"",
+            "{\"block_mac\": {\"kind\": \"mgx\", \"granularity\": 192}}",
+        );
+        let e = expect_scenario_err(&json);
+        assert!(matches!(e, ScenarioError::BadSpec { .. }), "{e}");
+        assert!(e.to_string().contains("does not divide"), "{e}");
+    }
+
+    #[test]
+    fn oversized_metadata_caches_are_typed() {
+        // 2^54 KB wraps to zero bytes under `kb << 10`; 2^30 KB is 1 TiB.
+        for kb in [1u64 << 54, 1 << 30, MAX_META_CACHE_KB + 1] {
+            for field in ["mac_cache_kb", "vn_cache_kb"] {
+                let json = minimal_json().replace(
+                    "\"SeDA\"",
+                    &format!(
+                        "{{\"block_mac\": {{\"kind\": \"sgx\", \"granularity\": 64, \
+                         \"{field}\": {kb}}}}}"
+                    ),
+                );
+                let e = expect_scenario_err(&json);
+                assert!(
+                    matches!(e, ScenarioError::BadSpec { .. }),
+                    "{field}={kb}: {e}"
+                );
+                assert!(e.to_string().contains(field), "{e}");
+            }
+        }
+        // The cap itself is accepted.
+        let json = minimal_json().replace(
+            "\"SeDA\"",
+            &format!(
+                "{{\"block_mac\": {{\"kind\": \"sgx\", \"granularity\": 64, \
+                 \"mac_cache_kb\": {MAX_META_CACHE_KB}}}}}"
+            ),
+        );
+        assert!(Scenario::from_json(&json).is_ok());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! the tiling-misalignment costs of coarse granularities.
 
 use crate::cache::MetaCache;
-use crate::layout::{MetaLayout, LINE_BYTES, VN_COVERAGE};
+use crate::layout::{MetaLayout, LINE_BYTES, MAC_BYTES, VN_COVERAGE};
 use crate::scheme::{emit_demand, line_down, ProtectionScheme, SchemeInfo, TrafficBreakdown};
 use seda_dram::Request;
 use seda_scalesim::Burst;
@@ -49,6 +49,9 @@ fn flush_cache_telemetry(m: &CacheMetrics, reported: &mut (u64, u64, u64), stats
     seda_telemetry::counter_add(m.writebacks, stats.2 - reported.2);
     *reported = stats;
 }
+
+/// MAC tags per 64 B MAC line.
+const TAGS_PER_LINE: u64 = LINE_BYTES / MAC_BYTES;
 
 /// Which classic scheme the block-MAC engine models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -169,39 +172,42 @@ impl BlockMacScheme {
         self.vn_cache.as_ref().map(|c| c.stats())
     }
 
-    fn classify_writeback(&mut self, addr: u64, sink: &mut dyn FnMut(Request)) {
+    /// Emits the write of a dirty metadata line at `addr` and attributes
+    /// it. Takes the fields it needs rather than `&mut self`, so
+    /// [`BlockMacScheme::access_vn`] can call it while walking a tree path
+    /// borrowed from the layout.
+    fn classify_writeback(
+        layout: &MetaLayout,
+        mut vn_cache: Option<&mut MetaCache>,
+        tally: &mut TrafficBreakdown,
+        addr: u64,
+        sink: &mut dyn FnMut(Request),
+    ) {
         // Bonsai-style lazy tree update: writing back a dirty VN line (or
         // tree node) re-hashes it, so its parent node must be updated —
-        // touch the parent dirty in the cache, fetching it on a miss. The
-        // cascade is bounded by the tree depth; the top node's parent is
-        // the on-chip root (free).
-        let mut pending = vec![addr];
-        while let Some(a) = pending.pop() {
+        // touch the parent dirty in the cache, fetching it on a miss. Each
+        // step evicts at most one line, so the cascade is a chain, walked
+        // without a stack; the top node's parent is the on-chip root
+        // (free).
+        let tree_base = layout.tree_level_base.first().copied().unwrap_or(u64::MAX);
+        let mut next = Some(addr);
+        while let Some(a) = next.take() {
             sink(Request::write(a));
-            let tree_base = self
-                .layout
-                .tree_level_base
-                .first()
-                .copied()
-                .unwrap_or(u64::MAX);
             if a >= tree_base {
-                self.tally.tree_write += LINE_BYTES;
-            } else if a >= self.layout.vn_base {
-                self.tally.vn_write += LINE_BYTES;
+                tally.tree_write += LINE_BYTES;
+            } else if a >= layout.vn_base {
+                tally.vn_write += LINE_BYTES;
             } else {
-                self.tally.mac_write += LINE_BYTES;
+                tally.mac_write += LINE_BYTES;
                 continue; // MAC lines have no tree parent.
             }
-            if let (Some(parent), Some(cache)) = (self.layout.parent_of(a), self.vn_cache.as_mut())
-            {
+            if let (Some(parent), Some(cache)) = (layout.parent_of(a), vn_cache.as_deref_mut()) {
                 let acc = cache.access(parent, true);
                 if !acc.hit {
                     sink(Request::read(parent));
-                    self.tally.tree_read += LINE_BYTES;
+                    tally.tree_read += LINE_BYTES;
                 }
-                if let Some(wb) = acc.writeback {
-                    pending.push(wb);
-                }
+                next = acc.writeback;
             }
         }
     }
@@ -210,32 +216,40 @@ impl BlockMacScheme {
         let Some(cache) = self.vn_cache.as_mut() else {
             return;
         };
-        let vline = self.layout.vn_line(data_addr);
+        let layout = &self.layout;
+        let tally = &mut self.tally;
+        let vline = layout.vn_line(data_addr);
         let acc = cache.access(vline, is_write);
         if let Some(wb) = acc.writeback {
-            self.classify_writeback(wb, sink);
+            Self::classify_writeback(layout, Some(cache), tally, wb, sink);
         }
         if !acc.hit {
             sink(Request::read(vline));
-            self.tally.vn_read += LINE_BYTES;
+            tally.vn_read += LINE_BYTES;
             // Climb the tree until a cached (trusted) node or the root.
-            let path = self.layout.tree_path(data_addr);
-            for node in path {
-                // Invariant: the let-else at function entry returned unless
-                // `vn_cache` is Some; nothing clears it in between.
-                #[allow(clippy::expect_used)]
-                let cache = self.vn_cache.as_mut().expect("checked above");
+            for node in layout.tree_path(data_addr) {
                 let a = cache.access(node, false);
                 if let Some(wb) = a.writeback {
-                    self.classify_writeback(wb, sink);
+                    Self::classify_writeback(layout, Some(cache), tally, wb, sink);
                 }
                 if a.hit {
                     break;
                 }
                 sink(Request::read(node));
-                self.tally.tree_read += LINE_BYTES;
+                tally.tree_read += LINE_BYTES;
             }
         }
+    }
+
+    /// Writes back a dirty line evicted or flushed from either cache.
+    fn writeback(&mut self, addr: u64, sink: &mut dyn FnMut(Request)) {
+        Self::classify_writeback(
+            &self.layout,
+            self.vn_cache.as_mut(),
+            &mut self.tally,
+            addr,
+            sink,
+        );
     }
 }
 
@@ -267,28 +281,33 @@ impl ProtectionScheme for BlockMacScheme {
         // Alignment fills: lines inside the protection blocks but outside
         // the demand span. Reads need them to verify the block MAC; writes
         // need them to recompute it (read-modify-write).
-        let mut a = gspan_start;
-        while a < gspan_end {
-            if a < start || a >= end {
-                sink(Request::read(a));
-                self.tally.overfetch_read += LINE_BYTES;
-            }
-            a += LINE_BYTES;
+        let step = LINE_BYTES as usize;
+        let head = (gspan_start..start).step_by(step);
+        for a in head.chain((end..gspan_end).step_by(step)) {
+            sink(Request::read(a));
+            self.tally.overfetch_read += LINE_BYTES;
         }
 
-        // One MAC tag per protection block, via the MAC cache.
+        // One MAC tag per protection block, via the MAC cache. The MAC
+        // array is line-aligned (`MetaLayout::new`), so blocks
+        // `[8j, 8j + 8)` share a MAC line; between them only the VN cache
+        // is touched, so the first block of each line takes one exact
+        // access and the rest are hits on the now-MRU line.
         let mut block = gspan_start / g;
-        while block * g < gspan_end {
+        let end_block = gspan_end / g;
+        while block < end_block {
             let line = self.layout.mac_line(block);
-            let acc = self.mac_cache.access(line, burst.is_write);
+            let line_end = (block / TAGS_PER_LINE + 1) * TAGS_PER_LINE;
+            let n = line_end.min(end_block) - block;
+            let acc = self.mac_cache.access_run(line, burst.is_write, n);
             if let Some(wb) = acc.writeback {
-                self.classify_writeback(wb, sink);
+                self.writeback(wb, sink);
             }
             if !acc.hit {
                 sink(Request::read(line));
                 self.tally.mac_read += LINE_BYTES;
             }
-            block += 1;
+            block += n;
         }
 
         // One VN slot per 64 B data line (SGX only); VN lines cover 512 B.
@@ -305,7 +324,7 @@ impl ProtectionScheme for BlockMacScheme {
 
     fn finish(&mut self, sink: &mut dyn FnMut(Request)) {
         for addr in self.mac_cache.flush() {
-            self.classify_writeback(addr, sink);
+            self.writeback(addr, sink);
         }
         // Flushing dirty VN lines re-dirties their parents (Bonsai update),
         // so iterate until the cache drains; each round moves strictly up
@@ -316,7 +335,7 @@ impl ProtectionScheme for BlockMacScheme {
                 break;
             }
             for addr in dirty {
-                self.classify_writeback(addr, sink);
+                self.writeback(addr, sink);
             }
         }
         flush_cache_telemetry(
@@ -422,6 +441,47 @@ mod tests {
         let mut reqs = Vec::new();
         m.transform(&b[0], &mut |r| reqs.push(r));
         assert_eq!(m.breakdown().mac_read, first);
+    }
+
+    #[test]
+    fn one_mac_line_serves_eight_blocks() {
+        // MGX-64B over [0, 4096): 64 blocks on 8 MAC lines, so each line
+        // misses once and its other 7 blocks hit.
+        let mut m = BlockMacScheme::new(BlockMacKind::Mgx, 64, GIB);
+        run(&mut m, &[Burst::read(0, 4096, TensorKind::Filter, 0)]);
+        assert_eq!(m.mac_cache_stats(), (56, 8, 0));
+        assert_eq!(m.breakdown().mac_read, 8 * LINE_BYTES);
+    }
+
+    #[test]
+    fn burst_straddling_a_mac_line_touches_both() {
+        // Blocks 7 and 8 of a read at 448 B sit on MAC lines 0 and 1.
+        let mut m = BlockMacScheme::new(BlockMacKind::Mgx, 64, GIB);
+        let mut sink = |_r| {};
+        m.transform(&Burst::read(448, 128, TensorKind::Ifmap, 0), &mut sink);
+        assert_eq!(m.mac_cache_stats(), (0, 2, 0));
+        // [64, 1024) covers blocks 1..16 on the same two lines: 15 hits.
+        m.transform(&Burst::read(64, 960, TensorKind::Ifmap, 0), &mut sink);
+        assert_eq!(m.mac_cache_stats(), (15, 2, 0));
+        // [960, 1088) is block 15 (line 1, a hit) and block 16, which
+        // opens line 2.
+        m.transform(&Burst::read(1000, 64, TensorKind::Ifmap, 0), &mut sink);
+        assert_eq!(m.mac_cache_stats(), (16, 3, 0));
+    }
+
+    #[test]
+    fn mac_lines_at_512_byte_granularity() {
+        // A MAC line covers 8 × 512 B = 4 KiB: [0, 8192) is 16 blocks on
+        // 2 lines.
+        let mut m = BlockMacScheme::new(BlockMacKind::Mgx, 512, GIB);
+        run(&mut m, &[Burst::read(0, 8192, TensorKind::Filter, 0)]);
+        assert_eq!(m.mac_cache_stats(), (14, 2, 0));
+        // A write over blocks 7 and 8 straddles lines 0 and 1 of a fresh
+        // scheme; both are dirtied and written back at finish.
+        let mut w = BlockMacScheme::new(BlockMacKind::Mgx, 512, GIB);
+        run(&mut w, &[Burst::write(3584, 1024, TensorKind::Ofmap, 0)]);
+        assert_eq!(w.mac_cache_stats(), (0, 2, 2));
+        assert_eq!(w.breakdown().mac_write, 2 * LINE_BYTES);
     }
 
     #[test]

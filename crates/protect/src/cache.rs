@@ -4,8 +4,12 @@
 //! caches (the paper configures 16 KB VN + 8 KB MAC caches, LRU,
 //! write-back, write-allocate). The model tracks hit/miss/eviction
 //! behaviour per line without storing payload bytes.
-
-use std::collections::HashMap;
+//!
+//! The sets live in one flat `sets × ways` array allocated up front. A
+//! miss fills an invalid way before it evicts the least-recently-used
+//! valid one, so a set fills in the same order a growable per-set list
+//! would. `seda-validate`'s `meta-cache` family keeps that map-based
+//! model as the reference and checks the two bit for bit.
 
 /// Result of one cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -16,11 +20,12 @@ pub struct CacheAccess {
     pub writeback: Option<u64>,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Way {
     tag: u64,
-    dirty: bool,
     lru: u64,
+    valid: bool,
+    dirty: bool,
 }
 
 /// A set-associative, write-back, write-allocate cache model.
@@ -39,7 +44,8 @@ pub struct MetaCache {
     line_bytes: u64,
     sets: u64,
     ways: usize,
-    storage: HashMap<u64, Vec<Way>>,
+    /// Set `s` occupies `slots[s * ways..(s + 1) * ways]`.
+    slots: Vec<Way>,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -65,7 +71,7 @@ impl MetaCache {
             line_bytes,
             sets: lines / ways as u64,
             ways,
-            storage: HashMap::new(),
+            slots: vec![Way::default(); lines as usize],
             tick: 0,
             hits: 0,
             misses: 0,
@@ -82,13 +88,11 @@ impl MetaCache {
     pub fn access(&mut self, addr: u64, is_write: bool) -> CacheAccess {
         self.tick += 1;
         let line = addr / self.line_bytes;
-        let set = line % self.sets;
-        let tick = self.tick;
-        let ways = self.ways;
-        let set_ways = self.storage.entry(set).or_default();
+        let base = (line % self.sets) as usize * self.ways;
+        let set = &mut self.slots[base..base + self.ways];
 
-        if let Some(w) = set_ways.iter_mut().find(|w| w.tag == line) {
-            w.lru = tick;
+        if let Some(w) = set.iter_mut().find(|w| w.valid && w.tag == line) {
+            w.lru = self.tick;
             w.dirty |= is_write;
             self.hits += 1;
             return CacheAccess {
@@ -98,43 +102,58 @@ impl MetaCache {
         }
 
         self.misses += 1;
-        let mut writeback = None;
-        if set_ways.len() == ways {
-            // Invariant: this branch only runs when `set_ways.len() == ways`
-            // and `ways > 0`, so `min_by_key` always finds a victim.
-            #[allow(clippy::expect_used)]
-            let victim = set_ways
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, w)| w.lru)
-                .map(|(i, _)| i)
-                .expect("full set has ways");
-            let v = set_ways.swap_remove(victim);
-            if v.dirty {
-                writeback = Some(v.tag * self.line_bytes);
-                self.writebacks += 1;
+        // The first invalid way, else the least recently used one (ticks
+        // are unique, so the LRU way is too).
+        let mut victim = 0;
+        for (i, w) in set.iter().enumerate() {
+            if !w.valid {
+                victim = i;
+                break;
+            }
+            if w.lru < set[victim].lru {
+                victim = i;
             }
         }
-        set_ways.push(Way {
+        let v = set[victim];
+        let mut writeback = None;
+        if v.valid && v.dirty {
+            writeback = Some(v.tag * self.line_bytes);
+            self.writebacks += 1;
+        }
+        set[victim] = Way {
             tag: line,
+            lru: self.tick,
+            valid: true,
             dirty: is_write,
-            lru: tick,
-        });
+        };
         CacheAccess {
             hit: false,
             writeback,
         }
     }
 
-    /// Flushes all dirty lines, returning their addresses.
+    /// Accesses the line containing `addr` `n` times in a row. The first
+    /// access is exact; the other `n − 1` hit the line it just made most
+    /// recently used and already dirtied, and since LRU order is relative
+    /// they change nothing but the hit count. Every later access, stat
+    /// and flush is therefore identical to `n` consecutive
+    /// [`MetaCache::access`] calls; the result is the first access's.
+    /// `n` must be positive.
+    pub fn access_run(&mut self, addr: u64, is_write: bool, n: u64) -> CacheAccess {
+        debug_assert!(n > 0, "access_run needs at least one access");
+        let first = self.access(addr, is_write);
+        self.hits += n.saturating_sub(1);
+        first
+    }
+
+    /// Flushes all dirty lines, returning their addresses in ascending
+    /// order.
     pub fn flush(&mut self) -> Vec<u64> {
         let mut out = Vec::new();
-        for ways in self.storage.values_mut() {
-            for w in ways.iter_mut() {
-                if w.dirty {
-                    out.push(w.tag * self.line_bytes);
-                    w.dirty = false;
-                }
+        for w in &mut self.slots {
+            if w.valid && w.dirty {
+                out.push(w.tag * self.line_bytes);
+                w.dirty = false;
             }
         }
         self.writebacks += out.len() as u64;
@@ -170,13 +189,56 @@ mod tests {
         let mut c = MetaCache::new(128, 64, 2);
         c.access(0, true);
         c.access(64, false);
-        c.access(128, false); // evict dirty line 0
-                              // line 0 was LRU and dirty.
-        let third = c.access(192, false);
-        // One of the two evictions so far wrote back address 0.
-        let (_, _, wbs) = c.stats();
-        assert_eq!(wbs, 1);
-        let _ = third;
+        // Line 0 is LRU and dirty: the evicting access writes it back.
+        let evict = c.access(128, false);
+        assert_eq!(
+            evict,
+            CacheAccess {
+                hit: false,
+                writeback: Some(0)
+            }
+        );
+        // Line 64 was clean: evicting it writes nothing back.
+        assert_eq!(c.access(192, false).writeback, None);
+        assert_eq!(c.stats().2, 1);
+    }
+
+    #[test]
+    fn invalid_ways_fill_before_any_eviction() {
+        // 1 set, 4 ways: the first four distinct lines all stay resident.
+        let mut c = MetaCache::new(256, 64, 4);
+        for line in 0..4u64 {
+            let a = c.access(line * 64, true);
+            assert_eq!(a.writeback, None, "line {line} evicted a valid way");
+        }
+        for line in 0..4u64 {
+            assert!(c.access(line * 64, false).hit, "line {line} not resident");
+        }
+        // The fifth line evicts the LRU valid way (line 0).
+        assert_eq!(c.access(4 * 64, false).writeback, Some(0));
+        assert_eq!(c.stats(), (4, 5, 1));
+    }
+
+    #[test]
+    fn access_run_matches_repeated_access() {
+        let mut run = MetaCache::new(256, 64, 2);
+        let mut each = run.clone();
+        for (addr, w, n) in [
+            (0, true, 5),
+            (128, false, 3),
+            (256, false, 1),
+            (0, false, 4),
+        ] {
+            let first = run.access_run(addr, w, n);
+            assert_eq!(first, each.access(addr, w));
+            for _ in 1..n {
+                assert!(each.access(addr, w).hit);
+            }
+            assert_eq!(run.stats(), each.stats());
+        }
+        // LRU order agrees: the next conflict evicts the same line.
+        assert_eq!(run.access(384, false), each.access(384, false));
+        assert_eq!(run.flush(), each.flush());
     }
 
     #[test]
@@ -185,9 +247,7 @@ mod tests {
         c.access(0, true);
         c.access(64, false);
         c.access(128, true);
-        let mut d = c.flush();
-        d.sort_unstable();
-        assert_eq!(d, vec![0, 128]);
+        assert_eq!(c.flush(), vec![0, 128]);
         assert!(c.flush().is_empty(), "second flush finds nothing dirty");
     }
 

@@ -44,13 +44,19 @@ impl MetaLayout {
     ///
     /// # Panics
     ///
-    /// Panics if sizes are zero or `mac_granularity` is not a multiple of
-    /// 64 B.
+    /// Panics if sizes are zero, `mac_granularity` is not a multiple of
+    /// 64 B, or `protected_bytes` is not a multiple of `mac_granularity`.
+    /// The last keeps the MAC array line-aligned, so a MAC line never
+    /// aliases data and eight consecutive blocks share each MAC line.
     pub fn new(protected_bytes: u64, mac_granularity: u64) -> Self {
         assert!(protected_bytes > 0, "empty protected region");
         assert!(
             mac_granularity >= LINE_BYTES && mac_granularity.is_multiple_of(LINE_BYTES),
             "MAC granularity must be a positive multiple of 64 B"
+        );
+        assert!(
+            protected_bytes.is_multiple_of(mac_granularity),
+            "protected region must be a multiple of the MAC granularity"
         );
         let mac_base = protected_bytes;
         let mac_bytes = protected_bytes / mac_granularity * MAC_BYTES;
@@ -96,17 +102,12 @@ impl MetaLayout {
 
     /// Tree-node addresses on the path from the VN line covering `addr`
     /// up to (but excluding) the on-chip root, leaf level first.
-    pub fn tree_path(&self, addr: u64) -> Vec<u64> {
+    pub fn tree_path(&self, addr: u64) -> impl Iterator<Item = u64> + '_ {
         let vn_line_idx = (self.vn_line(addr) - self.vn_base) / LINE_BYTES;
-        let mut path = Vec::with_capacity(self.tree_level_base.len());
-        let mut idx = vn_line_idx / TREE_ARITY;
-        for (level, base) in self.tree_level_base.iter().enumerate() {
-            path.push(base + idx * LINE_BYTES);
-            if level + 1 < self.tree_level_base.len() {
-                idx /= TREE_ARITY;
-            }
-        }
-        path
+        self.tree_level_base.iter().scan(vn_line_idx, |idx, base| {
+            *idx /= TREE_ARITY;
+            Some(base + *idx * LINE_BYTES)
+        })
     }
 
     /// Number of tree levels stored off-chip.
@@ -180,8 +181,8 @@ mod tests {
     #[test]
     fn tree_path_is_monotone_and_shrinks() {
         let l = MetaLayout::new(16 * GIB, 64);
-        let p1 = l.tree_path(0);
-        let p2 = l.tree_path(8 * GIB);
+        let p1: Vec<u64> = l.tree_path(0).collect();
+        let p2: Vec<u64> = l.tree_path(8 * GIB).collect();
         assert_eq!(p1.len(), l.tree_depth());
         // Paths from distant addresses converge at the top.
         assert_ne!(p1[0], p2[0]);
@@ -191,11 +192,16 @@ mod tests {
     #[test]
     fn neighbouring_vn_lines_share_parents() {
         let l = MetaLayout::new(16 * GIB, 64);
-        let a = l.tree_path(0);
-        let b = l.tree_path(512); // next VN slot, same VN line? 512B data = same line
-        assert_eq!(a, b);
-        let c = l.tree_path(4096 * 8); // 8 VN lines away → different leaf parent
-        assert_ne!(a[0], c[0]);
+        // The next VN line (512 B on) has the same leaf parent.
+        assert!(l.tree_path(0).eq(l.tree_path(512)));
+        // 8 VN lines away → different leaf parent.
+        assert_ne!(l.tree_path(0).next(), l.tree_path(4096 * 8).next());
+    }
+
+    #[test]
+    #[should_panic(expected = "multiple of the MAC granularity")]
+    fn region_not_a_multiple_of_granularity_is_rejected() {
+        let _ = MetaLayout::new(GIB + 64, 512);
     }
 }
 
@@ -210,7 +216,7 @@ mod parent_tests {
         let l = MetaLayout::new(16 * GIB, 64);
         let vn_line = l.vn_line(0);
         let parent = l.parent_of(vn_line).expect("VN line has a parent");
-        assert_eq!(parent, l.tree_path(0)[0]);
+        assert_eq!(Some(parent), l.tree_path(0).next());
     }
 
     #[test]

@@ -85,8 +85,8 @@ proptest! {
     fn tree_paths_end_at_single_top(protected in (1u64..16).prop_map(|g| g * GIB),
                                     a in 0u64..(1 << 30), b in 0u64..(1 << 30)) {
         let l = MetaLayout::new(protected, 64);
-        let pa = l.tree_path(a % protected);
-        let pb = l.tree_path(b % protected);
+        let pa: Vec<u64> = l.tree_path(a % protected).collect();
+        let pb: Vec<u64> = l.tree_path(b % protected).collect();
         prop_assert_eq!(pa.last(), pb.last(), "all paths converge below the root");
         // Paths are strictly level-ascending in address.
         for w in pa.windows(2) {

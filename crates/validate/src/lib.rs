@@ -4,7 +4,7 @@
 //! analytical and a cycle-accurate compute model, a streamed and a
 //! per-segment B-AES pad path, scheme-level traffic models and the
 //! functional crypto path — and this crate cross-checks them with seeded
-//! randomized oracles instead of hand-picked shapes. Ten families:
+//! randomized oracles instead of hand-picked shapes. Eleven families:
 //!
 //! * [`gemm`] — `exact_gemm` vs `gemm_cycles` and MAC totals over random
 //!   shapes for both dataflows, including fold/remainder edges.
@@ -17,6 +17,10 @@
 //!   emitted request attributed in the [`seda_protect::TrafficBreakdown`],
 //!   SeDA never overfetching, SGX/MGX metadata matching the `MetaCache`
 //!   hit/miss accounting.
+//! * [`meta_cache`] — the flat `MetaCache` against the map-based model
+//!   it replaced: identical access results, stats and flushes over random
+//!   geometries and hot-set, thrash, sequential and random streams, and
+//!   `access_run` equal to the repeated accesses it stands for.
 //! * [`dram`] — DRAM timing invariants (monotone channel clocks, burst
 //!   length from config, refresh-window exclusion, achieved bandwidth at
 //!   or below peak) over randomized request streams.
@@ -69,6 +73,7 @@ pub mod adversary;
 pub mod dram;
 pub mod dram_batch;
 pub mod gemm;
+pub mod meta_cache;
 pub mod otp;
 pub mod pipeline;
 pub mod resilience;
@@ -80,7 +85,7 @@ pub mod stream;
 use rng::Rng;
 use std::fmt;
 
-/// The ten oracle/invariant families of the harness.
+/// The eleven oracle/invariant families of the harness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Family {
     /// Cycle-accurate vs analytical systolic-array model.
@@ -89,6 +94,8 @@ pub enum Family {
     Otp,
     /// Protection-scheme traffic conservation and attribution.
     Schemes,
+    /// Flat vs map-based metadata cache, bit for bit.
+    MetaCache,
     /// DRAM timing invariants over random request streams.
     Dram,
     /// Batched vs per-access DRAM replay kernels, bit for bit.
@@ -107,11 +114,12 @@ pub enum Family {
 
 impl Family {
     /// All families in canonical order.
-    pub fn all() -> [Family; 10] {
+    pub fn all() -> [Family; 11] {
         [
             Family::Gemm,
             Family::Otp,
             Family::Schemes,
+            Family::MetaCache,
             Family::Dram,
             Family::DramBatch,
             Family::Pipeline,
@@ -128,6 +136,7 @@ impl Family {
             Family::Gemm => "gemm",
             Family::Otp => "otp",
             Family::Schemes => "schemes",
+            Family::MetaCache => "meta-cache",
             Family::Dram => "dram",
             Family::DramBatch => "dram-batch",
             Family::Pipeline => "pipeline",
@@ -138,8 +147,9 @@ impl Family {
         }
     }
 
-    /// Parses a CLI name (`gemm`, `otp`, `schemes`, `dram`, `dram-batch`,
-    /// `pipeline`, `adversary`, `resilience`, `serving`, `stream`).
+    /// Parses a CLI name (`gemm`, `otp`, `schemes`, `meta-cache`, `dram`,
+    /// `dram-batch`, `pipeline`, `adversary`, `resilience`, `serving`,
+    /// `stream`).
     pub fn parse(s: &str) -> Option<Family> {
         Family::all().into_iter().find(|f| f.name() == s)
     }
@@ -151,6 +161,7 @@ impl Family {
             Family::Gemm => 48,
             Family::Otp => 48,
             Family::Schemes => 32,
+            Family::MetaCache => 96,
             Family::Dram => 12,
             Family::DramBatch => 12,
             Family::Pipeline => 4,
@@ -260,6 +271,7 @@ fn checker(family: Family) -> fn(&mut Rng) -> Result<(), String> {
         Family::Gemm => gemm::check_case,
         Family::Otp => otp::check_case,
         Family::Schemes => schemes::check_case,
+        Family::MetaCache => meta_cache::check_case,
         Family::Dram => dram::check_case,
         Family::DramBatch => dram_batch::check_case,
         Family::Pipeline => pipeline::check_case,
