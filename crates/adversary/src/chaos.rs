@@ -80,7 +80,7 @@ impl FaultPlan {
     /// Builds a plan faulting `⌈points × fault_percent / 100⌉` of the
     /// sweep's points (at least one, when `points > 0` and
     /// `fault_percent > 0`). Faulted indices are a partial Fisher–Yates
-    /// draw under `Rng::derive(seed, 0)`; each chosen point's kind is
+    /// draw under `Rng::for_stream(seed, 0)`; each chosen point's kind is
     /// drawn from its own derived stream, so plans with different sizes
     /// still agree on shared prefixes of the derivation tree.
     ///
@@ -105,13 +105,13 @@ impl FaultPlan {
         if want > 0 {
             // Partial Fisher–Yates: after `want` steps the prefix of
             // `indices` is a uniform sample without replacement.
-            let mut draw = Rng::derive(seed, 0);
+            let mut draw = Rng::for_stream(seed, 0);
             let mut indices: Vec<usize> = (0..points).collect();
             for i in 0..want {
                 let j = i + draw.below((points - i) as u64) as usize;
                 indices.swap(i, j);
                 let idx = indices[i];
-                let mut kind_rng = Rng::derive(seed, 1 + idx as u64);
+                let mut kind_rng = Rng::for_stream(seed, 1 + idx as u64);
                 let kind = match kind_rng.below(3) {
                     0 => FaultKind::Panic,
                     1 => FaultKind::Error,
@@ -219,7 +219,7 @@ impl FaultPlan {
 /// `(seed, point, attempt)` — distinguishable in reports, reproducible
 /// across runs.
 fn synthesize_violation(seed: u64, ctx: &PointContext) -> SedaError {
-    let mut rng = Rng::derive(seed, (ctx.index as u64) << 8 | u64::from(ctx.attempt));
+    let mut rng = Rng::for_stream(seed, (ctx.index as u64) << 8 | u64::from(ctx.attempt));
     let tensor = match rng.below(3) {
         0 => TensorKind::Ifmap,
         1 => TensorKind::Filter,

@@ -22,6 +22,8 @@
 //!   tests pin this under `catch_unwind`.
 //! * **Everything replays from a seed.** Faults derive from a SplitMix64
 //!   stream, so any cell reproduces exactly from `(seed, row, column)`.
+//!   [`Rng`] is the workspace's one generator: `seda-serve` and
+//!   `seda-validate` derive their streams from it too.
 //!
 //! The same seeded machinery also attacks *execution* rather than data:
 //! [`chaos`] builds deterministic fault plans (panics, typed errors,

@@ -221,7 +221,7 @@ impl DetectionMatrix {
         let mut cells = Vec::with_capacity(configs.len() * classes.len());
         for (ri, class) in classes.iter().enumerate() {
             for (ci, config) in configs.iter().enumerate() {
-                let mut rng = Rng::derive(seed, (ri * configs.len() + ci) as u64);
+                let mut rng = Rng::for_stream(seed, (ri * configs.len() + ci) as u64);
                 cells.push(run_cell(config, *class, &mut rng)?);
             }
         }

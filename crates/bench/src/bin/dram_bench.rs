@@ -39,7 +39,7 @@ use seda::models::zoo;
 use seda::pipeline::{dram_config_for, LoweredTrace};
 use seda::protect::scheme_by_name;
 use seda::scalesim::{NpuConfig, TraceCache};
-use seda_bench::{finite_flag, round6, usage_exit};
+use seda_bench::{finite_flag, round6, usage_exit, write_or_die};
 use serde::Serialize;
 use std::time::Instant;
 
@@ -256,7 +256,7 @@ fn main() {
     }
 
     let json = serde_json::to_string_pretty(&record).expect("serializable");
-    std::fs::write(&out_path, json).expect("writable path");
+    write_or_die(&out_path, json);
     eprintln!("wrote {out_path}");
 
     if !record.identical {

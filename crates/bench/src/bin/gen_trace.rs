@@ -19,7 +19,7 @@ fn main() {
     let text = write_trace(&bursts);
     match args.get(3) {
         Some(path) => {
-            std::fs::write(path, &text).expect("writable output path");
+            seda_bench::write_or_die(path, &text);
             eprintln!("{} bursts -> {path}", bursts.len());
         }
         None => print!("{text}"),

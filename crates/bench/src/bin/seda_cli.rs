@@ -19,6 +19,7 @@ use seda::scalesim::{simulate_model, AddressMap, NpuConfig};
 use seda::scenario;
 use seda::sweep::Sweep;
 use seda::telemetry;
+use seda_bench::write_or_die;
 
 fn usage() -> ! {
     eprintln!("usage: seda_cli [--telemetry <out.json>] <command>");
@@ -69,15 +70,6 @@ fn usage() -> ! {
 fn die(e: seda::SedaError) -> ! {
     eprintln!("error: {e}");
     std::process::exit(1);
-}
-
-/// Writes `contents` to `path`; when the path cannot be written, prints
-/// the path and the I/O error and exits 1.
-fn write_or_die(path: &str, contents: impl AsRef<[u8]>) {
-    if let Err(e) = std::fs::write(path, contents) {
-        eprintln!("error: cannot write {path}: {e}");
-        std::process::exit(1);
-    }
 }
 
 /// Removes `flag <value>` from `rest`, returning the value.
@@ -509,10 +501,13 @@ fn main() {
             };
             let repeats: u32 = match args.get(4) {
                 None => 1,
-                Some(n) => n.parse().unwrap_or_else(|_| usage()),
+                Some(n) => match n.parse() {
+                    Ok(r) if r > 0 => r,
+                    _ => usage(),
+                },
             };
             let sim = simulate_model(&npu, &model);
-            for r in run_trace(&sim, &npu, scheme.as_mut(), None, repeats.max(1)) {
+            for r in run_trace(&sim, &npu, scheme.as_mut(), None, repeats) {
                 println!(
                     "{} on {} under {}: {} bytes of traffic, {} cycles ({:.3} ms)",
                     r.model,

@@ -15,7 +15,7 @@
 //! Usage: `cargo run --release -p seda-bench --bin serve_bench --
 //! [out.json] [--requests <n>] [--max-ms <ms>]`
 
-use seda_bench::{finite_flag, round6, usage_exit};
+use seda_bench::{finite_flag, round6, usage_exit, write_or_die};
 use seda_serve::{simulate, ArrivalSim, BurstSim, DiurnalSim, Scheduler, SimSpec, TenantSim};
 use serde::Serialize;
 use std::time::Instant;
@@ -160,7 +160,7 @@ fn main() {
         record.end_cycle
     );
     let json = serde_json::to_string_pretty(&record).expect("record serializes");
-    std::fs::write(&out_path, json).expect("writable bench record path");
+    write_or_die(&out_path, json);
     println!("recorded to {out_path}");
     if let Some(limit) = max_ms {
         if record.wall_ms > limit {

@@ -18,7 +18,7 @@
 
 use seda::models::zoo;
 use seda_adversary::ProtectConfig;
-use seda_bench::{finite_flag, round6, usage_exit};
+use seda_bench::{finite_flag, round6, usage_exit, write_or_die};
 use seda_stream::{measure, model_lens, seal, StreamSpec};
 use serde::Serialize;
 
@@ -130,7 +130,7 @@ fn main() {
         record.replay_cycles
     );
     let json = serde_json::to_string_pretty(&record).expect("record serializes");
-    std::fs::write(&out_path, json).expect("writable bench record path");
+    write_or_die(&out_path, json);
     println!("recorded to {out_path}");
     if let Some(floor) = min_gbps {
         if record.gbps_sustained < floor {

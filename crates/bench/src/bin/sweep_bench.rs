@@ -11,7 +11,7 @@
 use seda::experiment::{evaluate_suites_with_stats, scheme_names};
 use seda::models::zoo;
 use seda::scalesim::NpuConfig;
-use seda_bench::round6;
+use seda_bench::{round6, write_or_die};
 use serde::Serialize;
 use std::time::Instant;
 
@@ -92,6 +92,6 @@ fn main() {
     );
 
     let json = serde_json::to_string_pretty(&record).expect("serializable");
-    std::fs::write(&out_path, json).expect("writable path");
+    write_or_die(&out_path, json);
     eprintln!("wrote {out_path}");
 }

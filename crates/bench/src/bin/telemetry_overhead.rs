@@ -24,7 +24,7 @@ use seda::experiment::evaluate_suites_with_stats;
 use seda::models::zoo;
 use seda::scalesim::NpuConfig;
 use seda::telemetry;
-use seda_bench::round6;
+use seda_bench::{round6, write_or_die};
 use serde::Serialize;
 use std::time::Instant;
 
@@ -110,7 +110,7 @@ fn main() {
     );
 
     let json = serde_json::to_string_pretty(&record).expect("serializable");
-    std::fs::write(&out_path, json).expect("writable path");
+    write_or_die(&out_path, json);
     eprintln!("wrote {out_path}");
 
     assert!(

@@ -1,4 +1,4 @@
-//! SeDA benchmark harness (see bins and benches).
+//! SeDA benchmark harness: shared helpers of the `src/bin/` binaries.
 
 /// Every experiment binary in `src/bin/` except `seda_cli` itself, with a
 /// one-line description — the table `seda_cli list` prints. The paper
@@ -82,6 +82,15 @@ pub fn usage_exit(usage: &str, problem: &str) -> ! {
     eprintln!("error: {problem}");
     eprintln!("{usage}");
     std::process::exit(2);
+}
+
+/// Writes `contents` to `path`; when the path cannot be written, prints
+/// the path and the I/O error and exits 1.
+pub fn write_or_die(path: &str, contents: impl AsRef<[u8]>) {
+    if let Err(e) = std::fs::write(path, contents) {
+        eprintln!("error: cannot write {path}: {e}");
+        std::process::exit(1);
+    }
 }
 
 /// Takes the value of gate flag `flag` from `args` as a finite number.

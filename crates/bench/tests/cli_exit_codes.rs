@@ -439,6 +439,37 @@ fn unwritable_telemetry_path_exits_1_without_panicking() {
     );
 }
 
+/// The bench binaries share the unwritable-output contract: exit 1 with
+/// the path on stderr, no panic.
+#[test]
+fn unwritable_bench_output_exits_1_without_panicking() {
+    let reg = TempRegistry::new("unwritable-bench", &[]);
+    let out_path = reg.path("missing-dir").join("x.out");
+    let out_path = out_path.to_str().expect("utf-8 temp path");
+    for (exe, args) in [
+        (
+            env!("CARGO_BIN_EXE_gen_trace"),
+            &["let", "edge", out_path][..],
+        ),
+        (
+            env!("CARGO_BIN_EXE_serve_bench"),
+            &[out_path, "--requests", "1000"][..],
+        ),
+    ] {
+        let out = Command::new(exe)
+            .args(args)
+            .output()
+            .expect("binary spawns");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{exe}: stderr:\n{stderr}");
+        assert!(!stderr.contains("panicked"), "{exe}: stderr:\n{stderr}");
+        assert!(
+            stderr.contains("x.out"),
+            "{exe}: stderr must name the path:\n{stderr}"
+        );
+    }
+}
+
 /// A misspelled NPU name is an error, not a silent edge-NPU run: every
 /// binary taking a `server|edge` argument must exit 1 and name the bad
 /// value on stderr.
@@ -469,11 +500,16 @@ fn unknown_npu_name_exits_1() {
 /// not a silent single inference.
 #[test]
 fn malformed_run_repeat_count_exits_2_with_usage() {
-    let out = Command::new(env!("CARGO_BIN_EXE_seda_cli"))
-        .args(["run", "let", "edge", "SeDA", "three"])
-        .output()
-        .expect("seda_cli spawns");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "stderr:\n{stderr}");
-    assert!(stderr.contains("usage: seda_cli"), "stderr:\n{stderr}");
+    for count in ["three", "0"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_seda_cli"))
+            .args(["run", "let", "edge", "SeDA", count])
+            .output()
+            .expect("seda_cli spawns");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{count}: stderr:\n{stderr}");
+        assert!(
+            stderr.contains("usage: seda_cli"),
+            "{count}: stderr:\n{stderr}"
+        );
+    }
 }

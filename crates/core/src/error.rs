@@ -12,7 +12,6 @@ use crate::functional::IntegrityViolation;
 use crate::resilience::FailureReport;
 use crate::scenario::ScenarioError;
 use seda_crypto::mac::TagMismatch;
-use seda_crypto::EngineSizingError;
 use seda_protect::ProtectError;
 use std::error::Error;
 use std::fmt;
@@ -151,9 +150,6 @@ pub enum SedaError {
     Scenario(ScenarioError),
     /// A sealed-model stream violated its framing or ordering contract.
     Stream(StreamViolation),
-    /// An AES engine-sizing query had no meaningful answer (zero,
-    /// negative, or non-finite bandwidth).
-    EngineSizing(EngineSizingError),
 }
 
 impl fmt::Display for SedaError {
@@ -199,7 +195,6 @@ impl fmt::Display for SedaError {
             }
             SedaError::Scenario(s) => write!(f, "{s}"),
             SedaError::Stream(s) => write!(f, "{s}"),
-            SedaError::EngineSizing(e) => write!(f, "{e}"),
         }
     }
 }
@@ -212,7 +207,6 @@ impl Error for SedaError {
             SedaError::Protect(p) => Some(p),
             SedaError::Scenario(s) => Some(s),
             SedaError::Stream(s) => Some(s),
-            SedaError::EngineSizing(e) => Some(e),
             SedaError::ScenarioPointFailed { report, .. } => {
                 report.first().map(|f| &f.error as &(dyn Error + 'static))
             }
@@ -242,12 +236,6 @@ impl From<ProtectError> for SedaError {
 impl From<ScenarioError> for SedaError {
     fn from(s: ScenarioError) -> Self {
         SedaError::Scenario(s)
-    }
-}
-
-impl From<EngineSizingError> for SedaError {
-    fn from(e: EngineSizingError) -> Self {
-        SedaError::EngineSizing(e)
     }
 }
 
@@ -310,19 +298,6 @@ mod tests {
         };
         let msg = e.to_string();
         assert!(msg.contains("0x40") && msg.contains("128") && msg.contains("96"));
-    }
-
-    #[test]
-    fn engine_sizing_errors_convert_and_chain() {
-        let inner = EngineSizingError {
-            memory_bandwidth: 20.0e9,
-            pad_bandwidth: 0.0,
-        };
-        let e = SedaError::from(inner);
-        assert!(matches!(e, SedaError::EngineSizing(_)));
-        let msg = e.to_string();
-        assert!(msg.contains("cannot size"), "{msg}");
-        assert!(e.source().is_some(), "sizing errors chain their source");
     }
 
     #[test]

@@ -664,8 +664,6 @@ pub enum OutputKind {
     Runtime,
     /// DRAM energy per scheme (DDR4 for server, LPDDR4 for edge).
     Energy,
-    /// Note that a telemetry snapshot should be exported by the driver.
-    Telemetry,
 }
 
 impl OutputKind {
@@ -675,7 +673,6 @@ impl OutputKind {
             OutputKind::Traffic => "traffic",
             OutputKind::Runtime => "runtime",
             OutputKind::Energy => "energy",
-            OutputKind::Telemetry => "telemetry",
         }
     }
 }
@@ -692,9 +689,8 @@ impl Deserialize for OutputKind {
             Some("traffic") => Ok(OutputKind::Traffic),
             Some("runtime") => Ok(OutputKind::Runtime),
             Some("energy") => Ok(OutputKind::Energy),
-            Some("telemetry") => Ok(OutputKind::Telemetry),
             _ => Err(serde::Error::custom(format!(
-                "output must be one of traffic|runtime|energy|telemetry, found {v:?}"
+                "output must be one of traffic|runtime|energy, found {v:?}"
             ))),
         }
     }
@@ -1559,15 +1555,6 @@ impl ScenarioRun {
                 OutputKind::Traffic => self.render_traffic(&mut out),
                 OutputKind::Runtime => self.render_runtime(&mut out),
                 OutputKind::Energy => self.render_energy(&mut out),
-                OutputKind::Telemetry => {
-                    let _ = writeln!(
-                        out,
-                        "telemetry: run under `seda_cli --telemetry <out.json> scenario run {}` \
-                         to export the metric snapshot",
-                        self.scenario.name
-                    );
-                    let _ = writeln!(out);
-                }
             }
         }
         if self.points_resumed > 0 {

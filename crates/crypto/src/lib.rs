@@ -11,8 +11,6 @@
 //! * [`otp`] — the three pad-generation strategies the paper compares:
 //!   T-AES (engine bank), shared-OTP (insecure strawman), and B-AES
 //!   (SeDA's single-engine bandwidth-aware mechanism, Algorithm 1).
-//! * [`engine`] — AES engine timing (iterative vs pipelined), answering
-//!   the bandwidth-sizing questions behind Fig. 4's x-axis.
 //! * [`sha256`] — SHA-256 and HMAC-SHA-256, the hash behind block MACs.
 //! * [`mac`] — truncated 64-bit block MACs, with and without position
 //!   binding, and the XOR-fold used for layer/model MACs (Algorithm 2).
@@ -45,14 +43,12 @@
 
 pub mod aes;
 pub mod ctr;
-pub mod engine;
 pub mod mac;
 pub mod otp;
 pub mod sha256;
 
 pub use aes::Aes128;
 pub use ctr::{AesCtr, CounterSeed};
-pub use engine::{EngineKind, EngineSizingError, EngineTiming};
 pub use mac::{BlockPosition, MacTag, PositionBoundMac, TagMismatch, XorAccumulator};
 pub use otp::{BandwidthAwareOtp, OtpStrategy, SharedOtp, TraditionalOtp};
 pub use sha256::Sha256;

@@ -5,7 +5,7 @@
 //! ACT, PRE, RD, WR, and all-bank REF — over a reorder window with
 //! FR-FCFS arbitration (row hits first, then oldest), the policy
 //! Ramulator-class simulators implement. It exists to validate the fast
-//! path (see the cross-check tests and `validate_dram` binary) and for
+//! path (see the cross-check tests and `validate_sim` binary) and for
 //! experiments that need command traces.
 
 use crate::config::DramConfig;

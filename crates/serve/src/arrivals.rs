@@ -9,8 +9,8 @@
 //! points: one think-time draw plus one tenant pick per issue, from the
 //! issuing client's own stream.
 
-use crate::rng::Rng;
 use crate::spec::{ArrivalSim, BurstSim, DiurnalSim, SimSpec, STREAM_ARRIVALS, STREAM_CLIENTS};
+use seda_adversary::Rng;
 
 /// One issued request, before service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

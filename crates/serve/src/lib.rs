@@ -39,7 +39,6 @@ pub mod arrivals;
 pub mod kernel;
 pub mod reference;
 pub mod report;
-pub mod rng;
 pub mod sched;
 pub mod spec;
 
@@ -47,7 +46,7 @@ pub use arrivals::{open_loop_trace, Arrival};
 pub use kernel::simulate;
 pub use reference::simulate_stepped;
 pub use report::{NpuReport, ServeFailure, ServeReport, SwapReport, TenantReport, SCHEMA};
-pub use rng::Rng;
+pub use seda_adversary::Rng;
 pub use spec::{
     build, ArrivalSim, BurstSim, Completion, DiurnalSim, Scheduler, ServeSetup, SimOutcome,
     SimSpec, SwapOutcome, SwapSeal, SwapSim, TenantSeal, TenantSim,

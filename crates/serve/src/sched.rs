@@ -328,7 +328,7 @@ impl Metrics {
 /// points (completion processing order) for the draws to line up.
 #[derive(Debug)]
 pub struct Clients {
-    rngs: Vec<crate::rng::Rng>,
+    rngs: Vec<seda_adversary::Rng>,
     issued: Vec<u64>,
     quota: Vec<u64>,
     next_id: u64,

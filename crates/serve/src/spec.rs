@@ -11,11 +11,10 @@
 //! space; the differential oracle instead constructs tiny synthetic
 //! `SimSpec`s directly, so the brute-force reference stays tractable.
 
-use crate::rng::Rng;
 use seda::pipeline::{dram_config_for, try_run_trace};
 use seda::scenario::{ArrivalSpec, Scenario, ScenarioError, ServingSpec};
 use seda::SedaError;
-use seda_adversary::{ProtectConfig, ProtectedImage};
+use seda_adversary::{ProtectConfig, ProtectedImage, Rng};
 use seda_protect::HashEngine;
 use seda_scalesim::TraceCache;
 use seda_telemetry::HistogramSnapshot;

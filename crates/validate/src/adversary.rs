@@ -17,9 +17,8 @@
 //!   unprotected reference. Nothing in between, and never a panic.
 
 use crate::ensure;
-use crate::rng::Rng;
 use seda::functional::{run_protected, run_reference};
-use seda_adversary::{run_cell, ProtectConfig, TamperClass, Verdict};
+use seda_adversary::{run_cell, ProtectConfig, Rng, TamperClass, Verdict};
 use seda_models::zoo;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -38,7 +37,7 @@ pub fn check_case(rng: &mut Rng) -> Result<(), String> {
         let ctx = format!("{}/{} cell-seed={cell_seed:#x}", config.name, class.name());
 
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let mut cell_rng = seda_adversary::Rng::new(cell_seed);
+            let mut cell_rng = Rng::new(cell_seed);
             run_cell(&config, class, &mut cell_rng)
         }));
         let Ok(result) = outcome else {

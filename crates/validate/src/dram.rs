@@ -8,7 +8,7 @@
 //! bus could physically carry.
 
 use crate::ensure;
-use crate::rng::Rng;
+use seda_adversary::Rng;
 use seda_dram::{DramConfig, DramSim, Request, ACCESS_BYTES};
 
 /// A randomized but physically sensible configuration, including

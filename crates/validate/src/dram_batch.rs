@@ -18,7 +18,7 @@
 //! pipeline drives, and held to the same bit-identity bar.
 
 use crate::ensure;
-use crate::rng::Rng;
+use seda_adversary::Rng;
 use seda_dram::{DramConfig, DramSim, Request, ACCESS_BYTES};
 use seda_telemetry::SharedSink;
 

@@ -7,7 +7,7 @@
 //! is strong evidence both are right.
 
 use crate::ensure;
-use crate::rng::Rng;
+use seda_adversary::Rng;
 use seda_models::GemmShape;
 use seda_scalesim::{exact_gemm, gemm_cycles, simulate_fold_ws, Dataflow, NpuConfig};
 

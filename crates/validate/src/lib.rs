@@ -77,12 +77,11 @@ pub mod meta_cache;
 pub mod otp;
 pub mod pipeline;
 pub mod resilience;
-pub mod rng;
 pub mod schemes;
 pub mod serving;
 pub mod stream;
 
-use rng::Rng;
+use seda_adversary::Rng;
 use std::fmt;
 
 /// The eleven oracle/invariant families of the harness.
@@ -240,7 +239,7 @@ pub fn run_family(family: Family, seed: u64, cases: u32) -> Report {
         if let Err(message) = run_case(family, seed, case) {
             failures.push(Failure {
                 case,
-                sub_seed: Rng::sub_seed(seed, case),
+                sub_seed: Rng::sub_seed(seed, u64::from(case)),
                 message,
             });
         }
@@ -262,7 +261,7 @@ pub fn run_case(family: Family, seed: u64, case: u32) -> Result<(), String> {
     if family == Family::Resilience && case == 0 {
         return resilience::headline_proof(seed);
     }
-    let mut rng = Rng::for_case(seed, case);
+    let mut rng = Rng::for_stream(seed, u64::from(case));
     checker(family)(&mut rng)
 }
 

@@ -18,7 +18,7 @@
 //! writes.
 
 use crate::ensure;
-use crate::rng::Rng;
+use seda_adversary::Rng;
 use seda_protect::cache::{CacheAccess, MetaCache};
 use std::collections::HashMap;
 

@@ -8,7 +8,7 @@
 //! edge behaviour — across block sizes spanning several schedule groups.
 
 use crate::ensure;
-use crate::rng::Rng;
+use seda_adversary::Rng;
 use seda_crypto::ctr::CounterSeed;
 use seda_crypto::otp::{
     BandwidthAwareOtp, OtpStrategy, SharedOtp, TraditionalOtp, PADS_PER_SCHEDULE,

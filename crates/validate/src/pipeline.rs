@@ -9,9 +9,9 @@
 //! re-simulate anything.
 
 use crate::ensure;
-use crate::rng::Rng;
 use seda::pipeline::run_trace;
 use seda::sweep::Sweep;
+use seda_adversary::Rng;
 use seda_models::{zoo, Model};
 use seda_protect::{scheme_by_name, HashEngine};
 use seda_scalesim::{NpuConfig, TraceCache};

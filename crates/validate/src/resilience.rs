@@ -17,7 +17,6 @@
 //! journal-prefill recovery.
 
 use crate::ensure;
-use crate::rng::Rng;
 use seda::pipeline::RunResult;
 use seda::resilience::{
     load_journal, FailurePolicy, JournalHeader, JournalWriter, CHECKPOINT_SCHEMA,
@@ -25,6 +24,7 @@ use seda::resilience::{
 use seda::sweep::{Sweep, SweepResults};
 use seda::SedaError;
 use seda_adversary::chaos::{FaultKind, FaultPlan};
+use seda_adversary::Rng;
 use seda_models::zoo;
 use seda_scalesim::NpuConfig;
 use std::path::PathBuf;

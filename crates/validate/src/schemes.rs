@@ -10,7 +10,7 @@
 //! MAC traffic equal to the metadata-cache miss/writeback counts.
 
 use crate::ensure;
-use crate::rng::Rng;
+use seda_adversary::Rng;
 use seda_protect::scheme::{line_down, line_up, LINE_BYTES};
 use seda_protect::{
     scheme_by_name, BlockMacKind, BlockMacScheme, ProtectionScheme, TrafficBreakdown,

@@ -15,7 +15,7 @@
 //! ordering, boundary arithmetic, or closed-loop draw points.
 
 use crate::ensure;
-use crate::rng::Rng;
+use seda_adversary::Rng;
 use seda_serve::{simulate, simulate_stepped, ArrivalSim, BurstSim, DiurnalSim};
 use seda_serve::{Scheduler, SimSpec, SwapSim, TenantSim};
 
@@ -173,7 +173,7 @@ mod tests {
         // The issue caps oracle cases at 4 tenants and a tractable event
         // count; the generator must respect that envelope.
         for case in 0..16 {
-            let mut rng = Rng::for_case(0xE5, case);
+            let mut rng = Rng::for_stream(0xE5, case);
             let spec = random_spec(&mut rng);
             assert!((1..=4).contains(&spec.tenants.len()));
             assert!(spec.arrival.requests() <= 600);
@@ -183,7 +183,7 @@ mod tests {
 
     #[test]
     fn a_fixed_case_passes() {
-        let mut rng = Rng::for_case(0xE5, 0);
+        let mut rng = Rng::for_stream(0xE5, 0);
         check_case(&mut rng).expect("differential case");
     }
 }

@@ -23,10 +23,9 @@
 //! [`ProtectedImage::write_layer`]: seda_adversary::ProtectedImage::write_layer
 
 use crate::ensure;
-use crate::rng::Rng;
 use seda::error::StreamViolation;
 use seda::SedaError;
-use seda_adversary::{ProtectConfig, ProtectedImage};
+use seda_adversary::{ProtectConfig, ProtectedImage, Rng};
 use seda_stream::{seal, unseal, StreamSpec, StreamUnsealer};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 

@@ -16,7 +16,10 @@ use std::collections::BTreeMap;
 
 fn main() {
     let workload = std::env::args().nth(1).unwrap_or_else(|| "mob".to_owned());
-    let model = zoo::by_name(&workload).unwrap_or_else(zoo::mobilenet);
+    let Some(model) = zoo::by_name(&workload) else {
+        eprintln!("unknown workload {workload:?}");
+        std::process::exit(1);
+    };
     let npu = NpuConfig::edge();
 
     println!(
