@@ -9,6 +9,7 @@
 //!
 //! Usage: `cargo run --release -p seda-bench --bin ablation_securator`
 
+use seda::dram::RunBuf;
 use seda::models::zoo;
 use seda::protect::{ProtectionScheme, SecuratorScheme, PROTECTED_BYTES};
 use seda::scalesim::{simulate_model, NpuConfig};
@@ -23,13 +24,13 @@ fn main() {
     for model in zoo::all_models() {
         let sim = simulate_model(&npu, &model);
         let mut securator = SecuratorScheme::new(PROTECTED_BYTES);
-        let mut sink = |_r| {};
+        let mut lowered = RunBuf::new();
         for layer in &sim.layers {
             for burst in &layer.bursts {
-                securator.transform(burst, &mut sink);
+                securator.transform(burst, &mut lowered);
             }
         }
-        securator.finish(&mut sink);
+        securator.finish(&mut |_r| {});
         let demand = securator.breakdown().demand();
         println!(
             "{:<10} {:>14} {:>16} {:>18} {:>9.2}%",

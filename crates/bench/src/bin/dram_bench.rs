@@ -9,10 +9,12 @@
 //! * **per-access** — `DramSim::access` per request, the exact kernel the
 //!   batched path falls back to;
 //! * **batched** — `DramSim::run_batch_packed`, the streak-coalescing
-//!   fast path on the packed stream, exactly as `pipeline::run_trace`
-//!   replays layer slices.
+//!   fast path on the packed stream, which scans it for streaks;
+//! * **runs** — `DramSim::run_runs` on the same stream run-encoded, the
+//!   streak kernel without the scan, exactly as `pipeline::run_trace`
+//!   replays layers.
 //!
-//! The two must agree bit for bit — stats, elapsed clock, per-bank
+//! All three must agree bit for bit — stats, elapsed clock, per-bank
 //! occupancy — on *every* stream; the binary exits non-zero otherwise, so
 //! CI's smoke step doubles as a conformance gate on real workload traffic.
 //! Alongside the timing, the run records the streams' sequential
@@ -66,6 +68,10 @@ struct DramBenchRecord {
     per_access_ms: f64,
     /// Batched kernel wall-clock, milliseconds.
     batched_ms: f64,
+    /// Run-encoded replay (`run_runs`) wall-clock, milliseconds.
+    runs_ms: f64,
+    /// Runs the requests form (maximal within each layer).
+    runs: u64,
     /// Per-access kernel cost, nanoseconds per request.
     per_access_ns_per_access: f64,
     /// Batched kernel cost, nanoseconds per request.
@@ -78,7 +84,7 @@ struct DramBenchRecord {
     dram_replay_ms_per_point_after: f64,
     /// Sequential streak lengths across all streams, power-of-two buckets.
     streak_histogram: Vec<StreakBucket>,
-    /// Whether both kernels agreed bit for bit on every stream.
+    /// Whether all three kernels agreed bit for bit on every stream.
     identical: bool,
 }
 
@@ -163,6 +169,8 @@ fn main() {
     let mut requests = 0u64;
     let mut per_access = 0.0f64;
     let mut batched = 0.0f64;
+    let mut by_runs = 0.0f64;
+    let mut runs = 0u64;
     let mut histogram = StreakHistogram::default();
     let mut identical = true;
 
@@ -192,21 +200,31 @@ fn main() {
                 fast.run_batch_packed(stream);
                 batched += t1.elapsed().as_secs_f64();
 
-                let agrees = exact.stats() == fast.stats()
-                    && exact.elapsed_cycles() == fast.elapsed_cycles()
-                    && exact.bank_occupancy_cycles() == fast.bank_occupancy_cycles();
-                if !agrees {
-                    identical = false;
-                    eprintln!(
-                        "KERNEL DIVERGENCE at {}/{}/{name}: \
-                         exact {:?} elapsed {} vs batched {:?} elapsed {}",
-                        npu.name,
-                        model.name(),
-                        exact.stats(),
-                        exact.elapsed_cycles(),
-                        fast.stats(),
-                        fast.elapsed_cycles()
-                    );
+                let mut run_sim = DramSim::new(cfg.clone());
+                let t2 = Instant::now();
+                for li in 0..lowered.layers() {
+                    run_sim.run_runs(lowered.layer_runs(li));
+                }
+                by_runs += t2.elapsed().as_secs_f64();
+                runs += lowered.runs().len() as u64;
+
+                for (kernel, sim) in [("batched", &fast), ("runs", &run_sim)] {
+                    let agrees = exact.stats() == sim.stats()
+                        && exact.elapsed_cycles() == sim.elapsed_cycles()
+                        && exact.bank_occupancy_cycles() == sim.bank_occupancy_cycles();
+                    if !agrees {
+                        identical = false;
+                        eprintln!(
+                            "KERNEL DIVERGENCE at {}/{}/{name}: \
+                             exact {:?} elapsed {} vs {kernel} {:?} elapsed {}",
+                            npu.name,
+                            model.name(),
+                            exact.stats(),
+                            exact.elapsed_cycles(),
+                            sim.stats(),
+                            sim.elapsed_cycles()
+                        );
+                    }
                 }
             }
         }
@@ -217,6 +235,8 @@ fn main() {
         requests,
         per_access_ms: round6(per_access * 1e3),
         batched_ms: round6(batched * 1e3),
+        runs_ms: round6(by_runs * 1e3),
+        runs,
         per_access_ns_per_access: round6(per_access * 1e9 / requests.max(1) as f64),
         batched_ns_per_access: round6(batched * 1e9 / requests.max(1) as f64),
         speedup: round6(per_access / batched.max(f64::MIN_POSITIVE)),
@@ -243,6 +263,12 @@ fn main() {
         record.batched_ms, record.batched_ns_per_access
     );
     println!(
+        "run replay:        {:8.2} ms ({} runs, {:.1} requests/run)",
+        record.runs_ms,
+        record.runs,
+        record.requests as f64 / record.runs.max(1) as f64
+    );
+    println!(
         "replay time per point: {:.3} ms -> {:.3} ms ({:.2}x)",
         record.dram_replay_ms_per_point_before,
         record.dram_replay_ms_per_point_after,
@@ -260,10 +286,10 @@ fn main() {
     eprintln!("wrote {out_path}");
 
     if !record.identical {
-        eprintln!("FAILED: batched kernel diverged from the per-access kernel");
+        eprintln!("FAILED: a batched kernel diverged from the per-access kernel");
         std::process::exit(1);
     }
-    println!("identity: batched kernel bit-identical on all {points} streams");
+    println!("identity: batched and run kernels bit-identical on all {points} streams");
 
     if let Some(limit) = max_ms_per_point {
         if record.dram_replay_ms_per_point_after > limit {

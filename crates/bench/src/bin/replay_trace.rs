@@ -4,7 +4,7 @@
 //! Usage: `cargo run --release -p seda-bench --bin replay_trace -- <trace> [scheme] [server|edge]`
 //! where scheme is one of baseline, SGX-64B, SGX-512B, MGX-64B, MGX-512B, SeDA.
 
-use seda::dram::DramSim;
+use seda::dram::{DramSim, RunBuf};
 use seda::pipeline::dram_config_for;
 use seda::protect::{scheme_by_name, ProtectionScheme};
 use seda::scalesim::parse_trace;
@@ -36,11 +36,11 @@ fn main() {
     let mut scheme = make_scheme(args.get(2).map(String::as_str).unwrap_or("baseline"));
     let npu = seda_bench::npu_arg_or_exit(args.get(3).map(String::as_str));
     let mut dram = DramSim::new(dram_config_for(&npu));
+    let mut lowered = RunBuf::new();
     for b in &bursts {
-        scheme.transform(b, &mut |r| {
-            dram.access(r);
-        });
+        scheme.transform(b, &mut lowered);
     }
+    dram.run_runs(lowered.runs());
     scheme.finish(&mut |r| {
         dram.access(r);
     });

@@ -19,11 +19,13 @@
 //! [`Sweep`]: crate::sweep::Sweep
 
 use crate::error::SedaError;
-use seda_dram::{DramConfig, DramSim, DramStats};
+use seda_dram::run::expand;
+use seda_dram::{DramConfig, DramSim, DramStats, Run, RunBuf};
 use seda_models::Model;
 use seda_protect::{HashEngine, ProtectionScheme, TrafficBreakdown};
 use seda_scalesim::{simulate_model, ModelSim, NpuConfig};
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// The DRAM configuration the pipeline derives for an accelerator:
 /// DDR4 timing with the NPU's channel count and aggregate bandwidth.
@@ -37,19 +39,25 @@ pub fn dram_config_for(npu: &NpuConfig) -> DramConfig {
     DramConfig::ddr4_with_bandwidth(npu.dram_channels, npu.dram_bandwidth)
 }
 
-/// A scheme-rewritten request stream lowered into one flat buffer with
-/// per-layer slice boundaries.
+/// A scheme-rewritten request stream, lowered once and stored run-encoded
+/// with per-layer boundaries.
 ///
 /// Lowering runs every burst of a pre-simulated trace through
-/// `scheme.transform` once and stores the emitted requests contiguously
-/// in *packed* form ([`Request::pack`]: `(block << 1) | is_write`, 8 B
-/// per request), so the stream can be replayed through
-/// [`DramSim::run_batch_packed`] any number of times *without
-/// regenerating it* — the replay benchmarks time the DRAM kernel in
-/// isolation this way. Packing matters because both sides of the trace
-/// are memory-bound at this scale: lowering writes, and every replay
-/// reads, half the bytes a `Vec<Request>` would. The DRAM model is
-/// block-granular, so no timing information is lost.
+/// `scheme.transform` into one [`RunBuf`], marking each layer boundary so
+/// no run crosses it. A DNN's tensor walks are long sequential runs, so
+/// the run list is far smaller than the per-line stream (on the paper's
+/// sweep, 6.8 M runs stand for 118 M lines) and [`DramSim::run_runs`]
+/// replays each layer's runs straight into the streak kernel, without
+/// expanding or rescanning them. Each layer records where its runs end and
+/// how many requests it holds, which is all the hash verifier's byte
+/// count needs.
+///
+/// [`LoweredTrace::layer`] and [`LoweredTrace::requests`] give the same
+/// stream as a per-line *packed* view ([`Request::pack`]:
+/// `(block << 1) | is_write`), the form [`DramSim::run_batch_packed`]
+/// replays. [`LoweredTrace::lower`] and [`LoweredTrace::relower`] build
+/// that view eagerly; after [`LoweredTrace::relower_runs`] it is expanded
+/// on first use.
 ///
 /// [`run_trace`] itself relowers per inference (reusing the allocation),
 /// because schemes are stateful: metadata caches warm across inferences,
@@ -70,6 +78,8 @@ pub fn dram_config_for(npu: &NpuConfig) -> DramConfig {
 /// let lowered = LoweredTrace::lower(&sim, &mut Unprotected::new());
 /// assert_eq!(lowered.layers(), sim.layers.len());
 /// assert!(!lowered.requests().is_empty());
+/// // Runs stand for many lines each.
+/// assert!(lowered.runs().len() < lowered.requests().len());
 /// // Each packed word unpacks to the original (block-aligned) request.
 /// let first = Request::unpack(lowered.requests()[0]);
 /// assert_eq!(first.addr % 64, 0);
@@ -78,12 +88,12 @@ pub fn dram_config_for(npu: &NpuConfig) -> DramConfig {
 /// [`Request::pack`]: seda_dram::Request::pack
 #[derive(Debug, Clone, Default)]
 pub struct LoweredTrace {
-    /// The packed request stream ([`Request::pack`] encoding).
-    ///
-    /// [`Request::pack`]: seda_dram::Request::pack
-    packed: Vec<u64>,
-    /// End index (exclusive) of each layer's slice in `packed`.
-    layer_ends: Vec<usize>,
+    /// The run-encoded stream, with a merge mark at every layer boundary.
+    runs: RunBuf,
+    /// Per layer, the exclusive end of its runs and of its requests.
+    layer_ends: Vec<(usize, u64)>,
+    /// The expanded per-line packed view, built on first use.
+    packed: OnceLock<Vec<u64>>,
 }
 
 impl LoweredTrace {
@@ -94,17 +104,30 @@ impl LoweredTrace {
         lowered
     }
 
-    /// Re-lowers into the existing buffer, reusing its allocation. This
-    /// is the per-inference path of [`run_trace`]: scheme state advances,
-    /// but no per-request storage is reallocated.
+    /// Re-lowers into the existing buffers, reusing their allocations,
+    /// and expands the per-line packed view.
     pub fn relower(&mut self, sim: &ModelSim, scheme: &mut dyn ProtectionScheme) {
-        self.packed.clear();
+        let mut packed = self.packed.take().unwrap_or_default();
+        self.relower_runs(sim, scheme);
+        packed.clear();
+        packed.extend(expand(self.runs.runs()));
+        self.packed = OnceLock::from(packed);
+    }
+
+    /// Re-lowers the runs only, reusing their allocation. This is the
+    /// per-inference path of [`run_trace`]: scheme state advances, but no
+    /// per-line storage is touched.
+    pub fn relower_runs(&mut self, sim: &ModelSim, scheme: &mut dyn ProtectionScheme) {
+        self.packed.take();
+        self.runs.clear();
         self.layer_ends.clear();
         for layer in &sim.layers {
             for burst in &layer.bursts {
-                scheme.transform(burst, &mut |r| self.packed.push(r.pack()));
+                scheme.transform(burst, &mut self.runs);
             }
-            self.layer_ends.push(self.packed.len());
+            self.runs.mark();
+            self.layer_ends
+                .push((self.runs.runs().len(), self.runs.requests()));
         }
     }
 
@@ -113,15 +136,51 @@ impl LoweredTrace {
         self.layer_ends.len()
     }
 
-    /// The packed requests of layer `i`, in issue order — the slice
-    /// [`DramSim::run_batch_packed`] replays.
+    /// Layer `i`'s `(runs, requests)` start and end bounds.
+    fn bounds(&self, i: usize) -> ((usize, u64), (usize, u64)) {
+        let start = if i == 0 {
+            (0, 0)
+        } else {
+            self.layer_ends[i - 1]
+        };
+        (start, self.layer_ends[i])
+    }
+
+    /// The runs of layer `i`, in issue order — the slice
+    /// [`DramSim::run_runs`] replays.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `i >= self.layers()`.
+    pub fn layer_runs(&self, i: usize) -> &[Run] {
+        let ((start, _), (end, _)) = self.bounds(i);
+        &self.runs.runs()[start..end]
+    }
+
+    /// Number of requests layer `i`'s runs stand for.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `i >= self.layers()`.
+    pub fn layer_requests(&self, i: usize) -> u64 {
+        let ((_, start), (_, end)) = self.bounds(i);
+        end - start
+    }
+
+    /// The whole run-encoded stream, in issue order.
+    pub fn runs(&self) -> &[Run] {
+        self.runs.runs()
+    }
+
+    /// The packed requests of layer `i`, in issue order — the per-line
+    /// slice [`DramSim::run_batch_packed`] replays.
     ///
     /// # Panics
     ///
     /// Panics when `i >= self.layers()`.
     pub fn layer(&self, i: usize) -> &[u64] {
-        let start = if i == 0 { 0 } else { self.layer_ends[i - 1] };
-        &self.packed[start..self.layer_ends[i]]
+        let ((_, start), (_, end)) = self.bounds(i);
+        &self.requests()[start as usize..end as usize]
     }
 
     /// The whole flat packed request stream, in issue order. Decode
@@ -129,7 +188,8 @@ impl LoweredTrace {
     ///
     /// [`Request::unpack`]: seda_dram::Request::unpack
     pub fn requests(&self) -> &[u64] {
-        &self.packed
+        self.packed
+            .get_or_init(|| expand(self.runs.runs()).collect())
     }
 }
 
@@ -287,21 +347,20 @@ pub fn try_run_trace(
     let mut dram = DramSim::new(dram);
     let mem_clock = dram.config().clock_hz;
 
-    // One flat request buffer for the whole run: each inference lowers
-    // the scheme-rewritten stream into it (schemes are stateful, so the
+    // One run buffer for the whole run: each inference lowers the
+    // scheme-rewritten stream into it (schemes are stateful, so the
     // stream must be regenerated per inference — see [`LoweredTrace`]),
-    // then replays layer slices through the batched DRAM kernel.
+    // then replays each layer's runs through the DRAM streak kernel.
     let mut lowered = LoweredTrace::default();
     let mut results = Vec::with_capacity(repeats as usize);
     for _ in 0..repeats {
-        lowered.relower(sim, scheme);
+        lowered.relower_runs(sim, scheme);
         let mut layers = Vec::with_capacity(sim.layers.len());
         let mut total = 0u64;
         for (li, layer) in sim.layers.iter().enumerate() {
             let start = dram.elapsed_cycles();
-            let slice = lowered.layer(li);
-            let requests = slice.len() as u64;
-            dram.run_batch_packed(slice);
+            let requests = lowered.layer_requests(li);
+            dram.run_runs(lowered.layer_runs(li));
             let mem_cycles_mem_domain = dram.elapsed_cycles() - start;
             let memory_cycles =
                 (mem_cycles_mem_domain as f64 / mem_clock * npu.clock_hz).ceil() as u64;
@@ -450,6 +509,52 @@ mod tests {
             .flat_map(|i| lowered.layer(i).iter().copied())
             .collect();
         assert_eq!(flat, lowered.requests());
+    }
+
+    #[test]
+    fn runs_are_canonical_and_expand_to_the_per_line_view() {
+        let npu = NpuConfig::edge();
+        let sim = simulate_model(&npu, &zoo::lenet());
+        let mut sgx = BlockMacScheme::new(BlockMacKind::Sgx, 512, 16 << 30);
+        let lowered = LoweredTrace::lower(&sim, &mut sgx);
+        for li in 0..lowered.layers() {
+            let runs = lowered.layer_runs(li);
+            assert!(runs.iter().all(|r| r.len > 0));
+            assert!(runs.windows(2).all(|w| w[0].next() != w[1].head));
+            let expanded: Vec<u64> = expand(runs).collect();
+            assert_eq!(expanded, lowered.layer(li));
+            assert_eq!(lowered.layer_requests(li), expanded.len() as u64);
+        }
+        // A run-only relowering of a fresh scheme expands to the same view.
+        let mut runs_only = LoweredTrace::default();
+        runs_only.relower_runs(
+            &sim,
+            &mut BlockMacScheme::new(BlockMacKind::Sgx, 512, 16 << 30),
+        );
+        assert_eq!(runs_only.runs(), lowered.runs());
+        assert_eq!(runs_only.requests(), lowered.requests());
+    }
+
+    #[test]
+    fn run_replay_matches_per_line_replay() {
+        let npu = NpuConfig::server();
+        let sim = simulate_model(&npu, &zoo::ncf());
+        let lowered = LoweredTrace::lower(
+            &sim,
+            &mut BlockMacScheme::new(BlockMacKind::Mgx, 64, 16 << 30),
+        );
+        let mut by_line = DramSim::new(dram_config_for(&npu));
+        let mut by_run = DramSim::new(dram_config_for(&npu));
+        for li in 0..lowered.layers() {
+            by_line.run_batch_packed(lowered.layer(li));
+            by_run.run_runs(lowered.layer_runs(li));
+            assert_eq!(by_line.elapsed_cycles(), by_run.elapsed_cycles());
+        }
+        assert_eq!(by_line.stats(), by_run.stats());
+        assert_eq!(
+            by_line.bank_occupancy_cycles(),
+            by_run.bank_occupancy_cycles()
+        );
     }
 
     #[test]

@@ -11,17 +11,21 @@
 //!
 //! * [`DramSim::access`]/[`DramSim::access_timed`] — the exact per-access
 //!   kernel, one full front-end evaluation per request.
-//! * The **long-streak kernel** inside [`DramSim::run_batch_packed`]
-//!   (and its [`DramSim::run_batch`] shim): runs of consecutive 64 B
-//!   slots longer than the channel count advance every channel by a
-//!   closed-form amount (telescoped row hits plus an O(periods-crossed)
-//!   refresh walk).
-//! * The **short-streak step**, also inside [`DramSim::run_batch_packed`]:
-//!   everything too short for the long-streak kernel — singletons, short
-//!   runs, read/write turnarounds — replays in place, one packed request
-//!   at a time. A request continuing its channel's steady streak (same
-//!   bank, row, and direction) takes a one-access closed-form row hit;
-//!   anything else runs the exact kernel on pre-cracked bank/row fields.
+//! * The **long-streak kernel**: runs of consecutive 64 B slots longer
+//!   than the channel count advance every channel by a closed-form
+//!   amount (telescoped row hits plus an O(periods-crossed) refresh
+//!   walk).
+//! * The **short-streak step**: everything too short for the long-streak
+//!   kernel — singletons, short runs, read/write turnarounds — replays in
+//!   place, one packed request at a time. A request continuing its
+//!   channel's steady streak (same bank, row, and direction) takes a
+//!   one-access closed-form row hit; anything else runs the exact kernel
+//!   on pre-cracked bank/row fields.
+//!
+//! The last two form one per-streak body with two entry points:
+//! [`DramSim::run_batch_packed`] (and its [`DramSim::run_batch`] shim)
+//! scans a per-line packed stream for streaks, and [`DramSim::run_runs`]
+//! takes them ready-made from a run-encoded stream ([`Run`]).
 //!
 //! All three are bit-identical, access for access — the `dram-batch`
 //! family of `seda-validate` and the conformance tests in this crate
@@ -30,6 +34,7 @@
 use crate::config::DramConfig;
 use crate::mapping::AddressMapping;
 use crate::request::{Request, RowOutcome};
+use crate::run::Run;
 use crate::stats::DramStats;
 
 #[derive(Debug, Clone, Copy)]
@@ -138,6 +143,22 @@ struct LaneGeometry {
     bank_rank_mask: u64,
     /// Shift from a block to its row index.
     row_shift: u32,
+    /// `channels - 1`: selects a block's channel (the count is a power
+    /// of two).
+    ch_mask: u64,
+}
+
+impl LaneGeometry {
+    /// Requests left in packed request `p`'s super-row region, `p`'s own
+    /// included. The room comes from the block's low bits alone, so the
+    /// computation cannot wrap even for blocks in the top region of the
+    /// address space (the former `(region + 1) << region_bits`
+    /// end-pointer form could).
+    #[inline]
+    fn region_room(self, p: u64) -> u64 {
+        let region_mask = (1u64 << self.region_bits) - 1;
+        region_mask - ((p >> 1) & region_mask) + 1
+    }
 }
 
 /// One channel's mutable slice of the simulator: its clock, its banks,
@@ -503,47 +524,21 @@ impl DramSim {
     /// channel's steady streak takes a one-access closed-form row hit
     /// instead of the exact kernel.
     pub fn run_batch_packed(&mut self, requests: &[u64]) {
-        // The closed-form refresh walk assumes every issued burst leaves
-        // its channel with phase >= tRFC, which the per-access check only
-        // guarantees when the refresh window fits its interval. A
-        // degenerate config (tRFC >= tREFI) replays per access instead.
-        if self.config.t_refi > 0 && self.config.t_rfc >= self.config.t_refi {
+        let Some(geom) = self.begin_batch() else {
             for &p in requests {
                 self.access(Request::unpack(p));
             }
             return;
-        }
-        let channels = self.clocks.len();
-        let ch_mask = channels as u64 - 1;
-        let region_bits = self.mapping.region_bits();
-        // Steady-streak keys are local to this call: reset so interleaved
-        // `access()` calls can never leave a stale key behind.
-        for last in &mut self.scratch.last {
-            *last = u64::MAX;
-        }
-        let geom = LaneGeometry {
-            key_mask: (!0u64 << (region_bits + 1)) | 1,
-            region_bits,
-            bank_rank_mask: self.mapping.bank_rank_mask(),
-            row_shift: self.mapping.row_shift(),
         };
-        let region_mask = (1u64 << region_bits) - 1;
-
         let mut i = 0;
         while i < requests.len() {
             let head_p = requests[i];
-            let head_block = head_p >> 1;
-            let is_write = head_p & 1 != 0;
 
             // Detect a sequential streak: consecutive requests walking
             // consecutive 64 B slots in one direction, within one
             // super-row region (same (bank, rank, row) on every channel).
-            // The room left in the region comes from the block's low bits
-            // alone, so the computation cannot wrap even for blocks in
-            // the top region of the address space (the former
-            // `(region + 1) << region_bits` end-pointer form could).
-            let in_region = (region_mask - (head_block & region_mask)) + 1;
-            let max_len = in_region.min((requests.len() - i) as u64) as usize;
+            let room = geom.region_room(head_p);
+            let max_len = room.min((requests.len() - i) as u64) as usize;
             let window = &requests[i..i + max_len];
             let mut len = 1;
             // In packed form a streak is an arithmetic progression of
@@ -569,46 +564,111 @@ impl DramSim {
             while len < max_len && window[len] == head_p + 2 * len as u64 {
                 len += 1;
             }
+            self.apply_streak(head_p, len as u64, geom);
+            i += len;
+        }
+    }
 
-            if len > channels {
-                // Long streak. Channel of offset j is (head_block + j) mod
-                // channels, and every block in the region shares one
-                // within-channel bank index and row. Per channel: the first access goes
-                // through the scalar path (it may hit, conflict, or open
-                // an empty bank) and establishes the steady-streak
-                // invariant; the channel's remaining accesses are steady
-                // row hits applied in closed form.
-                let bank_idx = self.mapping.bank_index(head_block);
-                let row = self.mapping.row_of(head_block);
-                let extra = len - channels;
-                let per_channel = (extra / channels) as u64;
-                let remainder = extra % channels;
-                for j in 0..channels {
-                    let p = head_p + 2 * j as u64;
-                    let ch = ((p >> 1) & ch_mask) as usize;
-                    let matched = (self.scratch.last[ch] ^ p) & geom.key_mask == 0;
-                    self.scratch.last[ch] = p;
-                    let tail = per_channel + u64::from(j < remainder);
-                    let mut lane = self.lane(ch);
-                    if matched {
-                        // The head continues a steady streak, so the whole
-                        // per-channel run telescopes into one closed form.
-                        lane.streak(bank_idx, tail + 1, is_write);
-                    } else {
-                        lane.access(bank_idx, row, is_write);
-                        if tail > 0 {
-                            lane.streak(bank_idx, tail, is_write);
-                        }
+    /// Replays a run-encoded stream (see [`Run`]), bit-identical to
+    /// calling [`DramSim::access`] on every request the runs expand to,
+    /// in order — and so to [`DramSim::run_batch_packed`] on the expanded
+    /// stream.
+    ///
+    /// This is the same kernel as [`DramSim::run_batch_packed`] minus its
+    /// scan: the runs already say where each streak starts and how long
+    /// it is, so each run is only split at super-row region boundaries
+    /// and applied. Runs need not be maximal; any split of a stream into
+    /// runs replays identically, because every piece goes through the
+    /// same per-streak step that is itself exact access for access.
+    pub fn run_runs(&mut self, runs: &[Run]) {
+        let Some(geom) = self.begin_batch() else {
+            for p in crate::run::expand(runs) {
+                self.access(Request::unpack(p));
+            }
+            return;
+        };
+        for run in runs {
+            let (mut head_p, mut left) = (run.head, run.len);
+            while left > 0 {
+                let len = geom.region_room(head_p).min(left);
+                self.apply_streak(head_p, len, geom);
+                head_p += 2 * len;
+                left -= len;
+            }
+        }
+    }
+
+    /// Prepares one batched replay call: resets the per-call steady-streak
+    /// keys and returns the cracking geometry, or `None` when the config
+    /// is degenerate and the call must replay per access instead.
+    fn begin_batch(&mut self) -> Option<LaneGeometry> {
+        // The closed-form refresh walk assumes every issued burst leaves
+        // its channel with phase >= tRFC, which the per-access check only
+        // guarantees when the refresh window fits its interval. A
+        // degenerate config (tRFC >= tREFI) replays per access instead.
+        if self.config.t_refi > 0 && self.config.t_rfc >= self.config.t_refi {
+            return None;
+        }
+        // Steady-streak keys are local to a call: reset so interleaved
+        // `access()` calls can never leave a stale key behind.
+        for last in &mut self.scratch.last {
+            *last = u64::MAX;
+        }
+        let region_bits = self.mapping.region_bits();
+        Some(LaneGeometry {
+            key_mask: (!0u64 << (region_bits + 1)) | 1,
+            region_bits,
+            bank_rank_mask: self.mapping.bank_rank_mask(),
+            row_shift: self.mapping.row_shift(),
+            ch_mask: self.clocks.len() as u64 - 1,
+        })
+    }
+
+    /// Applies one sequential streak of `len` packed requests starting at
+    /// `head_p`, all inside one super-row region: the per-streak body
+    /// shared by [`DramSim::run_batch_packed`] and [`DramSim::run_runs`].
+    #[inline]
+    fn apply_streak(&mut self, head_p: u64, len: u64, geom: LaneGeometry) {
+        let channels = self.clocks.len() as u64;
+        if len > channels {
+            // Long streak. Channel of offset j is (head_block + j) mod
+            // channels, and every block in the region shares one
+            // within-channel bank index and row. Per channel: the first
+            // access goes through the scalar path (it may hit, conflict,
+            // or open an empty bank) and establishes the steady-streak
+            // invariant; the channel's remaining accesses are steady row
+            // hits applied in closed form.
+            let head_block = head_p >> 1;
+            let is_write = head_p & 1 != 0;
+            let bank_idx = self.mapping.bank_index(head_block);
+            let row = self.mapping.row_of(head_block);
+            let extra = len - channels;
+            let per_channel = extra / channels;
+            let remainder = extra % channels;
+            for j in 0..channels {
+                let p = head_p + 2 * j;
+                let ch = ((p >> 1) & geom.ch_mask) as usize;
+                let matched = (self.scratch.last[ch] ^ p) & geom.key_mask == 0;
+                self.scratch.last[ch] = p;
+                let tail = per_channel + u64::from(j < remainder);
+                let mut lane = self.lane(ch);
+                if matched {
+                    // The head continues a steady streak, so the whole
+                    // per-channel run telescopes into one closed form.
+                    lane.streak(bank_idx, tail + 1, is_write);
+                } else {
+                    lane.access(bank_idx, row, is_write);
+                    if tail > 0 {
+                        lane.streak(bank_idx, tail, is_write);
                     }
                 }
-            } else {
-                // Too short for the closed-form kernel: replay in place.
-                for k in 0..len as u64 {
-                    let p = head_p + 2 * k;
-                    self.step_packed(((p >> 1) & ch_mask) as usize, p, geom);
-                }
             }
-            i += len;
+        } else {
+            // Too short for the closed-form kernel: replay in place.
+            for k in 0..len {
+                let p = head_p + 2 * k;
+                self.step_packed(((p >> 1) & geom.ch_mask) as usize, p, geom);
+            }
         }
     }
 
@@ -862,7 +922,7 @@ mod batch_tests {
         // The packed entry point (the pipeline's native form) must agree
         // byte for byte with the Request-slice shim.
         let packed_stream: Vec<u64> = stream.iter().map(|r| r.pack()).collect();
-        let mut packed = DramSim::new(cfg);
+        let mut packed = DramSim::new(cfg.clone());
         packed.run_batch_packed(&packed_stream);
         assert_eq!(exact.stats(), packed.stats(), "packed stats diverged");
         assert_eq!(
@@ -875,6 +935,38 @@ mod batch_tests {
             packed.bank_occupancy_cycles(),
             "packed bank occupancy diverged"
         );
+        // The run entry point must agree on the stream's maximal runs and
+        // on a non-maximal split of them (every run cut into pieces of at
+        // most three requests).
+        let mut buf = crate::RunBuf::new();
+        for &r in stream {
+            buf.push(r);
+        }
+        let split: Vec<Run> = buf
+            .runs()
+            .iter()
+            .flat_map(|r| {
+                (0..r.len).step_by(3).map(move |k| Run {
+                    head: r.head + 2 * k,
+                    len: (r.len - k).min(3),
+                })
+            })
+            .collect();
+        for (label, runs) in [("maximal", buf.runs()), ("split", &split[..])] {
+            let mut by_runs = DramSim::new(cfg.clone());
+            by_runs.run_runs(runs);
+            assert_eq!(exact.stats(), by_runs.stats(), "{label} run stats diverged");
+            assert_eq!(
+                exact.elapsed_cycles(),
+                by_runs.elapsed_cycles(),
+                "{label} run elapsed cycles diverged"
+            );
+            assert_eq!(
+                exact.bank_occupancy_cycles(),
+                by_runs.bank_occupancy_cycles(),
+                "{label} run bank occupancy diverged"
+            );
+        }
     }
 
     #[test]
@@ -1008,6 +1100,20 @@ mod batch_tests {
         for i in 0..1024u64 {
             stream.push(Request::read((hi_block - 100 + i) * ACCESS_BYTES));
         }
+        assert_conformant(cfg, &stream);
+    }
+
+    #[test]
+    fn degenerate_refresh_config_is_bit_identical() {
+        // tRFC >= tREFI: both batched entry points fall back per access.
+        let cfg = DramConfig {
+            t_refi: 40,
+            t_rfc: 40,
+            ..DramConfig::server()
+        };
+        let stream: Vec<Request> = (0..4_000u64)
+            .map(|i| Request::read((i / 7 * 11 + i % 7) * ACCESS_BYTES))
+            .collect();
         assert_conformant(cfg, &stream);
     }
 

@@ -32,6 +32,7 @@ pub mod controller;
 pub mod energy;
 pub mod mapping;
 pub mod request;
+pub mod run;
 pub mod stats;
 
 pub use cmdsim::{simulate_commands, CommandStats};
@@ -40,4 +41,5 @@ pub use controller::{AccessTiming, DramSim};
 pub use energy::{estimate as estimate_energy, EnergyEstimate, EnergyParams};
 pub use mapping::{AddressMapping, DramCoord};
 pub use request::{Request, RowOutcome};
+pub use run::{Run, RunBuf};
 pub use stats::DramStats;

@@ -14,7 +14,7 @@
 use crate::cache::MetaCache;
 use crate::layout::{MetaLayout, LINE_BYTES, MAC_BYTES, VN_COVERAGE};
 use crate::scheme::{emit_demand, line_down, ProtectionScheme, SchemeInfo, TrafficBreakdown};
-use seda_dram::Request;
+use seda_dram::{Request, RunBuf};
 use seda_scalesim::Burst;
 
 /// Telemetry counter names for one metadata cache.
@@ -73,14 +73,16 @@ pub const DEFAULT_VN_CACHE_BYTES: u64 = 16 << 10;
 /// # Examples
 ///
 /// ```
+/// use seda_dram::RunBuf;
 /// use seda_protect::block_mac::{BlockMacKind, BlockMacScheme};
 /// use seda_protect::scheme::ProtectionScheme;
 /// use seda_scalesim::{Burst, TensorKind};
 ///
 /// let mut sgx = BlockMacScheme::new(BlockMacKind::Sgx, 64, 16 << 30);
-/// let mut reqs = Vec::new();
-/// sgx.transform(&Burst::read(0, 4096, TensorKind::Filter, 0), &mut |r| reqs.push(r));
+/// let mut out = RunBuf::new();
+/// sgx.transform(&Burst::read(0, 4096, TensorKind::Filter, 0), &mut out);
 /// assert!(sgx.breakdown().mac_read > 0);
+/// assert!(out.requests() > 4096 / 64, "demand plus MAC, VN and tree lines");
 /// ```
 #[derive(Debug, Clone)]
 pub struct BlockMacScheme {
@@ -181,7 +183,7 @@ impl BlockMacScheme {
         mut vn_cache: Option<&mut MetaCache>,
         tally: &mut TrafficBreakdown,
         addr: u64,
-        sink: &mut dyn FnMut(Request),
+        out: &mut RunBuf,
     ) {
         // Bonsai-style lazy tree update: writing back a dirty VN line (or
         // tree node) re-hashes it, so its parent node must be updated —
@@ -192,7 +194,7 @@ impl BlockMacScheme {
         let tree_base = layout.tree_level_base.first().copied().unwrap_or(u64::MAX);
         let mut next = Some(addr);
         while let Some(a) = next.take() {
-            sink(Request::write(a));
+            out.push(Request::write(a));
             if a >= tree_base {
                 tally.tree_write += LINE_BYTES;
             } else if a >= layout.vn_base {
@@ -204,7 +206,7 @@ impl BlockMacScheme {
             if let (Some(parent), Some(cache)) = (layout.parent_of(a), vn_cache.as_deref_mut()) {
                 let acc = cache.access(parent, true);
                 if !acc.hit {
-                    sink(Request::read(parent));
+                    out.push(Request::read(parent));
                     tally.tree_read += LINE_BYTES;
                 }
                 next = acc.writeback;
@@ -212,7 +214,7 @@ impl BlockMacScheme {
         }
     }
 
-    fn access_vn(&mut self, data_addr: u64, is_write: bool, sink: &mut dyn FnMut(Request)) {
+    fn access_vn(&mut self, data_addr: u64, is_write: bool, out: &mut RunBuf) {
         let Some(cache) = self.vn_cache.as_mut() else {
             return;
         };
@@ -221,34 +223,34 @@ impl BlockMacScheme {
         let vline = layout.vn_line(data_addr);
         let acc = cache.access(vline, is_write);
         if let Some(wb) = acc.writeback {
-            Self::classify_writeback(layout, Some(cache), tally, wb, sink);
+            Self::classify_writeback(layout, Some(cache), tally, wb, out);
         }
         if !acc.hit {
-            sink(Request::read(vline));
+            out.push(Request::read(vline));
             tally.vn_read += LINE_BYTES;
             // Climb the tree until a cached (trusted) node or the root.
             for node in layout.tree_path(data_addr) {
                 let a = cache.access(node, false);
                 if let Some(wb) = a.writeback {
-                    Self::classify_writeback(layout, Some(cache), tally, wb, sink);
+                    Self::classify_writeback(layout, Some(cache), tally, wb, out);
                 }
                 if a.hit {
                     break;
                 }
-                sink(Request::read(node));
+                out.push(Request::read(node));
                 tally.tree_read += LINE_BYTES;
             }
         }
     }
 
     /// Writes back a dirty line evicted or flushed from either cache.
-    fn writeback(&mut self, addr: u64, sink: &mut dyn FnMut(Request)) {
+    fn writeback(&mut self, addr: u64, out: &mut RunBuf) {
         Self::classify_writeback(
             &self.layout,
             self.vn_cache.as_mut(),
             &mut self.tally,
             addr,
-            sink,
+            out,
         );
     }
 }
@@ -272,21 +274,22 @@ impl ProtectionScheme for BlockMacScheme {
         }
     }
 
-    fn transform(&mut self, burst: &Burst, sink: &mut dyn FnMut(Request)) {
-        let (start, end) = emit_demand(burst, &mut self.tally, sink);
+    fn transform(&mut self, burst: &Burst, out: &mut RunBuf) {
+        let (start, end) = emit_demand(burst, &mut self.tally, out);
         let g = self.granularity;
         let gspan_start = start / g * g;
         let gspan_end = end.div_ceil(g) * g;
 
         // Alignment fills: lines inside the protection blocks but outside
-        // the demand span. Reads need them to verify the block MAC; writes
-        // need them to recompute it (read-modify-write).
-        let step = LINE_BYTES as usize;
-        let head = (gspan_start..start).step_by(step);
-        for a in head.chain((end..gspan_end).step_by(step)) {
-            sink(Request::read(a));
-            self.tally.overfetch_read += LINE_BYTES;
-        }
+        // the demand span, as one run before it and one after. Reads need
+        // them to verify the block MAC; writes need them to recompute it
+        // (read-modify-write).
+        out.push_run(
+            Request::read(gspan_start),
+            (start - gspan_start) / LINE_BYTES,
+        );
+        out.push_run(Request::read(end), (gspan_end - end) / LINE_BYTES);
+        self.tally.overfetch_read += (start - gspan_start) + (gspan_end - end);
 
         // One MAC tag per protection block, via the MAC cache. The MAC
         // array is line-aligned (`MetaLayout::new`), so blocks
@@ -301,10 +304,10 @@ impl ProtectionScheme for BlockMacScheme {
             let n = line_end.min(end_block) - block;
             let acc = self.mac_cache.access_run(line, burst.is_write, n);
             if let Some(wb) = acc.writeback {
-                self.writeback(wb, sink);
+                self.writeback(wb, out);
             }
             if !acc.hit {
-                sink(Request::read(line));
+                out.push(Request::read(line));
                 self.tally.mac_read += LINE_BYTES;
             }
             block += n;
@@ -316,15 +319,16 @@ impl ProtectionScheme for BlockMacScheme {
             let vn_line_data_span = VN_COVERAGE * (LINE_BYTES / crate::layout::VN_BYTES);
             span = span / vn_line_data_span * vn_line_data_span;
             while span < gspan_end {
-                self.access_vn(span, burst.is_write, sink);
+                self.access_vn(span, burst.is_write, out);
                 span += vn_line_data_span;
             }
         }
     }
 
     fn finish(&mut self, sink: &mut dyn FnMut(Request)) {
+        let mut out = RunBuf::new();
         for addr in self.mac_cache.flush() {
-            self.writeback(addr, sink);
+            self.writeback(addr, &mut out);
         }
         // Flushing dirty VN lines re-dirties their parents (Bonsai update),
         // so iterate until the cache drains; each round moves strictly up
@@ -335,9 +339,10 @@ impl ProtectionScheme for BlockMacScheme {
                 break;
             }
             for addr in dirty {
-                self.writeback(addr, sink);
+                self.writeback(addr, &mut out);
             }
         }
+        out.iter().for_each(sink);
         flush_cache_telemetry(
             &MAC_CACHE_METRICS,
             &mut self.reported_mac,
@@ -361,10 +366,11 @@ mod tests {
     const GIB: u64 = 1 << 30;
 
     fn run(scheme: &mut BlockMacScheme, bursts: &[Burst]) -> Vec<Request> {
-        let mut reqs = Vec::new();
+        let mut out = RunBuf::new();
         for b in bursts {
-            scheme.transform(b, &mut |r| reqs.push(r));
+            scheme.transform(b, &mut out);
         }
+        let mut reqs: Vec<Request> = out.iter().collect();
         scheme.finish(&mut |r| reqs.push(r));
         reqs
     }
@@ -424,6 +430,24 @@ mod tests {
     }
 
     #[test]
+    fn alignment_fills_are_one_run_each_side() {
+        // A 128 B read in the middle of a 512 B block: the demand run, a
+        // 3-line head fill before it and a 3-line tail fill after it,
+        // then the MAC line.
+        let mut m = BlockMacScheme::new(BlockMacKind::Mgx, 512, GIB);
+        let mut out = RunBuf::new();
+        m.transform(&Burst::read(1216, 128, TensorKind::Ifmap, 0), &mut out);
+        let reqs: Vec<Request> = out.iter().collect();
+        let mut expect = vec![Request::read(1216), Request::read(1280)];
+        expect.extend((1024..1216).step_by(64).map(Request::read));
+        expect.extend((1344..1536).step_by(64).map(Request::read));
+        assert_eq!(&reqs[..8], &expect[..]);
+        assert_eq!(reqs.len(), 9);
+        assert_eq!(out.runs().len(), 4);
+        assert_eq!(m.breakdown().overfetch_read, 384);
+    }
+
+    #[test]
     fn aligned_write_needs_no_rmw() {
         let mut m = BlockMacScheme::new(BlockMacKind::Mgx, 512, GIB);
         run(&mut m, &[Burst::write(512, 512, TensorKind::Ofmap, 0)]);
@@ -438,8 +462,7 @@ mod tests {
         let first = m.breakdown().mac_read;
         // Re-reading the same 4 KB touches the same MAC line (already
         // cached): no new MAC traffic.
-        let mut reqs = Vec::new();
-        m.transform(&b[0], &mut |r| reqs.push(r));
+        m.transform(&b[0], &mut RunBuf::new());
         assert_eq!(m.breakdown().mac_read, first);
     }
 
@@ -457,15 +480,15 @@ mod tests {
     fn burst_straddling_a_mac_line_touches_both() {
         // Blocks 7 and 8 of a read at 448 B sit on MAC lines 0 and 1.
         let mut m = BlockMacScheme::new(BlockMacKind::Mgx, 64, GIB);
-        let mut sink = |_r| {};
-        m.transform(&Burst::read(448, 128, TensorKind::Ifmap, 0), &mut sink);
+        let mut out = RunBuf::new();
+        m.transform(&Burst::read(448, 128, TensorKind::Ifmap, 0), &mut out);
         assert_eq!(m.mac_cache_stats(), (0, 2, 0));
         // [64, 1024) covers blocks 1..16 on the same two lines: 15 hits.
-        m.transform(&Burst::read(64, 960, TensorKind::Ifmap, 0), &mut sink);
+        m.transform(&Burst::read(64, 960, TensorKind::Ifmap, 0), &mut out);
         assert_eq!(m.mac_cache_stats(), (15, 2, 0));
         // [960, 1088) is block 15 (line 1, a hit) and block 16, which
         // opens line 2.
-        m.transform(&Burst::read(1000, 64, TensorKind::Ifmap, 0), &mut sink);
+        m.transform(&Burst::read(1000, 64, TensorKind::Ifmap, 0), &mut out);
         assert_eq!(m.mac_cache_stats(), (16, 3, 0));
     }
 
@@ -487,23 +510,21 @@ mod tests {
     #[test]
     fn dirty_mac_lines_flush_as_writes() {
         let mut m = BlockMacScheme::new(BlockMacKind::Mgx, 64, GIB);
-        let mut reqs = Vec::new();
-        m.transform(&Burst::write(0, 4096, TensorKind::Ofmap, 0), &mut |r| {
-            reqs.push(r)
-        });
+        m.transform(
+            &Burst::write(0, 4096, TensorKind::Ofmap, 0),
+            &mut RunBuf::new(),
+        );
         let before = m.breakdown().mac_write;
-        m.finish(&mut |r| reqs.push(r));
+        let mut flushed = Vec::new();
+        m.finish(&mut |r| flushed.push(r));
+        assert!(!flushed.is_empty() && flushed.iter().all(|r| r.is_write));
         assert!(m.breakdown().mac_write > before, "flush writes dirty MACs");
     }
 
     #[test]
     fn sgx_write_dirties_vn_lines() {
         let mut s = BlockMacScheme::new(BlockMacKind::Sgx, 64, GIB);
-        let mut reqs = Vec::new();
-        s.transform(&Burst::write(0, 1 << 16, TensorKind::Ofmap, 0), &mut |r| {
-            reqs.push(r)
-        });
-        s.finish(&mut |r| reqs.push(r));
+        run(&mut s, &[Burst::write(0, 1 << 16, TensorKind::Ofmap, 0)]);
         assert!(
             s.breakdown().vn_write > 0,
             "incremented VNs must write back"
@@ -533,15 +554,15 @@ mod bonsai_tests {
         // Write enough distinct VN lines to force dirty evictions; the
         // Bonsai update must produce tree writes by the end of inference.
         let mut s = BlockMacScheme::new(BlockMacKind::Sgx, 64, 16 << 30);
-        let mut reqs = Vec::new();
+        let mut out = RunBuf::new();
         // 1 MiB of writes touches 2048 VN slots = 256 VN lines > 16 KB/64.
         for i in 0..64u64 {
             s.transform(
                 &Burst::write(i * 512 * 1024, 16 * 1024, TensorKind::Ofmap, 0),
-                &mut |r| reqs.push(r),
+                &mut out,
             );
         }
-        s.finish(&mut |r| reqs.push(r));
+        s.finish(&mut |_r| {});
         let t = s.breakdown();
         assert!(t.vn_write > 0, "dirty VN lines must write back");
         assert!(t.tree_write > 0, "Bonsai updates must reach the tree");
@@ -550,9 +571,11 @@ mod bonsai_tests {
     #[test]
     fn finish_leaves_no_dirty_state() {
         let mut s = BlockMacScheme::new(BlockMacKind::Sgx, 64, 1 << 30);
-        let mut sink = |_r| {};
-        s.transform(&Burst::write(0, 1 << 20, TensorKind::Ofmap, 0), &mut sink);
-        s.finish(&mut sink);
+        s.transform(
+            &Burst::write(0, 1 << 20, TensorKind::Ofmap, 0),
+            &mut RunBuf::new(),
+        );
+        s.finish(&mut |_r| {});
         // A second finish emits nothing: everything already drained.
         let mut n = 0;
         s.finish(&mut |_r| n += 1);
@@ -562,9 +585,11 @@ mod bonsai_tests {
     #[test]
     fn read_only_streams_produce_no_tree_writes() {
         let mut s = BlockMacScheme::new(BlockMacKind::Sgx, 64, 1 << 30);
-        let mut sink = |_r| {};
-        s.transform(&Burst::read(0, 1 << 20, TensorKind::Filter, 0), &mut sink);
-        s.finish(&mut sink);
+        s.transform(
+            &Burst::read(0, 1 << 20, TensorKind::Filter, 0),
+            &mut RunBuf::new(),
+        );
+        s.finish(&mut |_r| {});
         assert_eq!(s.breakdown().tree_write, 0);
         assert_eq!(s.breakdown().vn_write, 0);
     }

@@ -17,7 +17,8 @@
 //!   paper's fairness configuration.
 //!
 //! Every scheme implements [`scheme::ProtectionScheme`], turning
-//! [`seda_scalesim::Burst`]s into [`seda_dram::Request`]s while tallying a
+//! [`seda_scalesim::Burst`]s into [`seda_dram::Request`]s — written as runs
+//! of consecutive lines into a [`seda_dram::RunBuf`] — while tallying a
 //! [`scheme::TrafficBreakdown`] per category (demand, overfetch, MAC, VN,
 //! tree, layer MAC) — the decomposition behind Fig. 5.
 

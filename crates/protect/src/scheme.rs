@@ -6,7 +6,7 @@
 //! (MAC / VN / integrity-tree / layer-MAC) accesses. Byte counts are
 //! tallied per category so Fig. 5's traffic decomposition falls out.
 
-use seda_dram::Request;
+use seda_dram::{Request, RunBuf};
 use seda_scalesim::Burst;
 use serde::{Deserialize, Serialize};
 
@@ -92,12 +92,21 @@ pub trait ProtectionScheme {
     /// Table III descriptor.
     fn info(&self) -> SchemeInfo;
 
-    /// Expands one demand burst into DRAM requests, passed to `sink` in
+    /// Expands one demand burst into DRAM requests, appended to `out` in
     /// issue order.
-    fn transform(&mut self, burst: &Burst, sink: &mut dyn FnMut(Request));
+    ///
+    /// The output is run-encoded: a burst's demand lines and each side of
+    /// its alignment fill go in as one [`RunBuf::push_run`] apiece, and
+    /// metadata lines one [`RunBuf::push`] at a time, so a tensor walk
+    /// costs a few calls per burst rather than one per 64 B line. The
+    /// buffer merges whatever continues its last run; the request
+    /// sequence is exactly the per-line one ([`RunBuf::iter`] expands
+    /// it).
+    fn transform(&mut self, burst: &Burst, out: &mut RunBuf);
 
     /// Flushes any buffered state (dirty metadata cache lines, final layer
-    /// MAC updates) at end of inference.
+    /// MAC updates) at end of inference, passing the requests to `sink`
+    /// in issue order.
     fn finish(&mut self, sink: &mut dyn FnMut(Request));
 
     /// Byte tally per category so far.
@@ -114,25 +123,18 @@ pub fn line_up(addr: u64) -> u64 {
     addr.div_ceil(LINE_BYTES) * LINE_BYTES
 }
 
-/// Emits the demand lines of a burst (64 B grid) and tallies them.
+/// Emits the demand lines of a burst (64 B grid) as one run and tallies
+/// them.
 ///
 /// Returns the `[start, end)` byte span on the line grid.
-pub fn emit_demand(
-    burst: &Burst,
-    tally: &mut TrafficBreakdown,
-    sink: &mut dyn FnMut(Request),
-) -> (u64, u64) {
+pub fn emit_demand(burst: &Burst, tally: &mut TrafficBreakdown, out: &mut RunBuf) -> (u64, u64) {
     let start = line_down(burst.addr);
     let end = line_up(burst.end());
-    let mut a = start;
-    while a < end {
-        if burst.is_write {
-            sink(Request::write(a));
-        } else {
-            sink(Request::read(a));
-        }
-        a += LINE_BYTES;
-    }
+    let first = Request {
+        addr: start,
+        is_write: burst.is_write,
+    };
+    out.push_run(first, (end - start) / LINE_BYTES);
     if burst.is_write {
         tally.demand_write += end - start;
     } else {
@@ -170,8 +172,8 @@ impl ProtectionScheme for Unprotected {
         }
     }
 
-    fn transform(&mut self, burst: &Burst, sink: &mut dyn FnMut(Request)) {
-        emit_demand(burst, &mut self.tally, sink);
+    fn transform(&mut self, burst: &Burst, out: &mut RunBuf) {
+        emit_demand(burst, &mut self.tally, out);
     }
 
     fn finish(&mut self, _sink: &mut dyn FnMut(Request)) {}
@@ -189,20 +191,25 @@ mod tests {
     #[test]
     fn demand_expansion_covers_grid() {
         let mut t = TrafficBreakdown::default();
-        let mut reqs = Vec::new();
+        let mut out = RunBuf::new();
         let b = Burst::read(100, 100, TensorKind::Ifmap, 0);
-        let (s, e) = emit_demand(&b, &mut t, &mut |r| reqs.push(r));
+        let (s, e) = emit_demand(&b, &mut t, &mut out);
         assert_eq!((s, e), (64, 256));
-        assert_eq!(reqs.len(), 3);
-        assert!(reqs.iter().all(|r| !r.is_write));
+        assert_eq!(out.runs().len(), 1, "one run per burst");
+        let reqs: Vec<Request> = out.iter().collect();
+        assert_eq!(
+            reqs,
+            [Request::read(64), Request::read(128), Request::read(192)]
+        );
         assert_eq!(t.demand_read, 192);
     }
 
     #[test]
     fn baseline_has_no_metadata() {
         let mut u = Unprotected::new();
-        let mut n = 0;
-        u.transform(&Burst::write(0, 256, TensorKind::Ofmap, 0), &mut |_| n += 1);
+        let mut out = RunBuf::new();
+        u.transform(&Burst::write(0, 256, TensorKind::Ofmap, 0), &mut out);
+        let mut n = out.requests();
         u.finish(&mut |_| n += 1);
         assert_eq!(n, 4);
         let b = u.breakdown();

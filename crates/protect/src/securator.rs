@@ -20,7 +20,7 @@
 
 use crate::layout::LINE_BYTES;
 use crate::scheme::{emit_demand, ProtectionScheme, SchemeInfo, TrafficBreakdown};
-use seda_dram::Request;
+use seda_dram::{Request, RunBuf};
 use seda_scalesim::{Burst, TensorKind};
 use std::collections::HashSet;
 
@@ -32,13 +32,13 @@ pub const HASH_BLOCK: u64 = 32;
 /// # Examples
 ///
 /// ```
+/// use seda_dram::RunBuf;
 /// use seda_protect::securator::SecuratorScheme;
 /// use seda_protect::scheme::ProtectionScheme;
 /// use seda_scalesim::{Burst, TensorKind};
 ///
 /// let mut s = SecuratorScheme::new(16 << 30);
-/// let mut n = 0;
-/// s.transform(&Burst::read(0, 4096, TensorKind::Ifmap, 0), &mut |_| n += 1);
+/// s.transform(&Burst::read(0, 4096, TensorKind::Ifmap, 0), &mut RunBuf::new());
 /// assert_eq!(s.breakdown().overfetch_read, 0);
 /// ```
 #[derive(Debug, Clone)]
@@ -77,17 +77,17 @@ impl SecuratorScheme {
         self.redundant_hash_bytes
     }
 
-    fn switch_layer(&mut self, layer: u32, sink: &mut dyn FnMut(Request)) {
+    fn switch_layer(&mut self, layer: u32, out: &mut RunBuf) {
         if self.current_layer == Some(layer) {
             return;
         }
         if self.current_layer.is_some() {
-            sink(Request::write(self.layer_mac_line()));
+            out.push(Request::write(self.layer_mac_line()));
             self.tally.layer_mac += LINE_BYTES;
         }
         self.current_layer = Some(layer);
         self.seen_this_layer.clear();
-        sink(Request::read(self.layer_mac_line()));
+        out.push(Request::read(self.layer_mac_line()));
         self.tally.layer_mac += LINE_BYTES;
     }
 
@@ -112,9 +112,9 @@ impl ProtectionScheme for SecuratorScheme {
         }
     }
 
-    fn transform(&mut self, burst: &Burst, sink: &mut dyn FnMut(Request)) {
-        self.switch_layer(burst.layer, sink);
-        let (start, end) = emit_demand(burst, &mut self.tally, sink);
+    fn transform(&mut self, burst: &Burst, out: &mut RunBuf) {
+        self.switch_layer(burst.layer, out);
+        let (start, end) = emit_demand(burst, &mut self.tally, out);
         // Every fetched 32 B block is hashed into the layer MAC; re-reads
         // of halo blocks are hashed again (no tiling awareness).
         let blocks = (end - start) / HASH_BLOCK;
@@ -151,14 +151,16 @@ mod tests {
     #[test]
     fn traffic_is_near_zero_like_seda() {
         let mut s = SecuratorScheme::new(1 << 30);
-        let mut n = 0u64;
+        let mut out = RunBuf::new();
         for layer in 0..10 {
             s.transform(
                 &Burst::read(0, 1 << 20, TensorKind::Filter, layer),
-                &mut |_| n += 1,
+                &mut out,
             );
         }
+        let mut n = out.requests();
         s.finish(&mut |_| n += 1);
+        assert_eq!(n, 10 * (1 << 20) / 64 + 10 * 2);
         let b = s.breakdown();
         assert!(b.metadata() <= 10 * 2 * 64);
         assert_eq!(b.overfetch_read, 0);
@@ -167,7 +169,7 @@ mod tests {
     #[test]
     fn halo_rereads_are_counted_as_redundant_hash_work() {
         let mut s = SecuratorScheme::new(1 << 30);
-        let mut sink = |_r| {};
+        let mut sink = RunBuf::new();
         // Strip 1 reads rows [0, 1024); strip 2 re-reads [896, 1920).
         s.transform(&Burst::read(0, 1024, TensorKind::Ifmap, 0), &mut sink);
         s.transform(&Burst::read(896, 1024, TensorKind::Ifmap, 0), &mut sink);
@@ -178,7 +180,7 @@ mod tests {
     #[test]
     fn redundancy_resets_per_layer() {
         let mut s = SecuratorScheme::new(1 << 30);
-        let mut sink = |_r| {};
+        let mut sink = RunBuf::new();
         s.transform(&Burst::read(0, 512, TensorKind::Ifmap, 0), &mut sink);
         s.transform(&Burst::read(0, 512, TensorKind::Ifmap, 1), &mut sink);
         assert_eq!(
@@ -191,7 +193,7 @@ mod tests {
     #[test]
     fn writes_are_hashed_but_never_redundant() {
         let mut s = SecuratorScheme::new(1 << 30);
-        let mut sink = |_r| {};
+        let mut sink = RunBuf::new();
         s.transform(&Burst::write(0, 256, TensorKind::Ofmap, 0), &mut sink);
         s.transform(&Burst::write(0, 256, TensorKind::Ofmap, 0), &mut sink);
         assert_eq!(s.redundant_hash_bytes(), 0);

@@ -13,7 +13,7 @@
 
 use crate::layout::LINE_BYTES;
 use crate::scheme::{emit_demand, ProtectionScheme, SchemeInfo, TrafficBreakdown};
-use seda_dram::Request;
+use seda_dram::{Request, RunBuf};
 use seda_scalesim::Burst;
 use std::collections::BTreeSet;
 
@@ -32,14 +32,15 @@ pub enum LayerMacStore {
 /// # Examples
 ///
 /// ```
+/// use seda_dram::RunBuf;
 /// use seda_protect::seda::{LayerMacStore, SedaScheme};
 /// use seda_protect::scheme::ProtectionScheme;
 /// use seda_scalesim::{Burst, TensorKind};
 ///
 /// let mut seda = SedaScheme::new(LayerMacStore::OffChip, 16 << 30);
-/// let mut reqs = Vec::new();
-/// seda.transform(&Burst::read(0, 1 << 20, TensorKind::Filter, 0), &mut |r| reqs.push(r));
-/// seda.finish(&mut |r| reqs.push(r));
+/// let mut out = RunBuf::new();
+/// seda.transform(&Burst::read(0, 1 << 20, TensorKind::Filter, 0), &mut out);
+/// seda.finish(&mut |_| {});
 /// let b = seda.breakdown();
 /// assert!(b.metadata() <= 2 * 64, "one layer: at most one line each way");
 /// ```
@@ -72,14 +73,14 @@ impl SedaScheme {
         self.layer_mac_base + u64::from(layer) * LINE_BYTES
     }
 
-    fn enter_layer(&mut self, layer: u32, sink: &mut dyn FnMut(Request)) {
+    fn enter_layer(&mut self, layer: u32, out: &mut RunBuf) {
         if !self.open_layers.insert(layer) {
             return;
         }
         seda_telemetry::counter_add("protect.seda.layers_opened", 1);
         if self.store == LayerMacStore::OffChip {
             // Fetch the expected layer MAC for verification (first touch).
-            sink(Request::read(self.layer_mac_line(layer)));
+            out.push(Request::read(self.layer_mac_line(layer)));
             self.tally.layer_mac += LINE_BYTES;
         }
     }
@@ -104,11 +105,11 @@ impl ProtectionScheme for SedaScheme {
         }
     }
 
-    fn transform(&mut self, burst: &Burst, sink: &mut dyn FnMut(Request)) {
-        self.enter_layer(burst.layer, sink);
+    fn transform(&mut self, burst: &Burst, out: &mut RunBuf) {
+        self.enter_layer(burst.layer, out);
         // optBlk MACs are sized to the burst's runs: every fetched byte is
         // demand, every block MAC folds into the on-chip accumulator.
-        emit_demand(burst, &mut self.tally, sink);
+        emit_demand(burst, &mut self.tally, out);
     }
 
     fn finish(&mut self, sink: &mut dyn FnMut(Request)) {
@@ -133,45 +134,44 @@ mod tests {
     use super::*;
     use seda_scalesim::TensorKind;
 
+    /// Lowers `bursts` and the finish drain into one request list.
+    fn lower(s: &mut SedaScheme, bursts: impl IntoIterator<Item = Burst>) -> Vec<Request> {
+        let mut out = RunBuf::new();
+        for b in bursts {
+            s.transform(&b, &mut out);
+        }
+        let mut reqs: Vec<Request> = out.iter().collect();
+        s.finish(&mut |r| reqs.push(r));
+        reqs
+    }
+
     #[test]
     fn onchip_layer_macs_cost_nothing() {
         let mut s = SedaScheme::new(LayerMacStore::OnChip, 1 << 30);
-        let mut reqs = Vec::new();
-        for layer in 0..10 {
-            s.transform(&Burst::read(0, 4096, TensorKind::Ifmap, layer), &mut |r| {
-                reqs.push(r)
-            });
-        }
-        s.finish(&mut |r| reqs.push(r));
+        lower(
+            &mut s,
+            (0..10).map(|layer| Burst::read(0, 4096, TensorKind::Ifmap, layer)),
+        );
         assert_eq!(s.breakdown().metadata(), 0);
     }
 
     #[test]
     fn offchip_layer_macs_cost_two_lines_per_layer() {
         let mut s = SedaScheme::new(LayerMacStore::OffChip, 1 << 30);
-        let mut reqs = Vec::new();
-        for layer in 0..10 {
-            for _ in 0..5 {
-                s.transform(&Burst::read(0, 4096, TensorKind::Ifmap, layer), &mut |r| {
-                    reqs.push(r)
-                });
-            }
-        }
-        s.finish(&mut |r| reqs.push(r));
+        lower(
+            &mut s,
+            (0..50).map(|i| Burst::read(0, 4096, TensorKind::Ifmap, i / 5)),
+        );
         assert_eq!(s.breakdown().layer_mac, 10 * 2 * 64);
     }
 
     #[test]
     fn overhead_is_near_zero() {
         let mut s = SedaScheme::new(LayerMacStore::OffChip, 1 << 30);
-        let mut n = 0u64;
-        for layer in 0..50 {
-            s.transform(
-                &Burst::read(0, 1 << 20, TensorKind::Filter, layer),
-                &mut |_| n += 1,
-            );
-        }
-        s.finish(&mut |_| n += 1);
+        lower(
+            &mut s,
+            (0..50).map(|layer| Burst::read(0, 1 << 20, TensorKind::Filter, layer)),
+        );
         let b = s.breakdown();
         let overhead = b.total() as f64 / b.demand() as f64 - 1.0;
         assert!(overhead < 0.002, "SeDA overhead {overhead}");
@@ -180,11 +180,11 @@ mod tests {
     #[test]
     fn no_overfetch_ever() {
         let mut s = SedaScheme::new(LayerMacStore::OffChip, 1 << 30);
-        let mut reqs = Vec::new();
         // Unaligned, short, partial-everything write.
-        s.transform(&Burst::write(100, 7, TensorKind::Ofmap, 3), &mut |r| {
-            reqs.push(r)
-        });
+        s.transform(
+            &Burst::write(100, 7, TensorKind::Ofmap, 3),
+            &mut RunBuf::new(),
+        );
         assert_eq!(s.breakdown().overfetch_read, 0);
     }
 
@@ -202,16 +202,11 @@ mod tests {
         // by one line pair per switch; open-layer tracking pays exactly
         // one read and one write per distinct layer regardless of order.
         let mut s = SedaScheme::new(LayerMacStore::OffChip, 1 << 30);
-        let mut reqs = Vec::new();
-        for round in 0..50 {
-            for layer in [0u32, 1] {
-                s.transform(
-                    &Burst::read((round * 4096) as u64, 4096, TensorKind::Ifmap, layer),
-                    &mut |r| reqs.push(r),
-                );
-            }
-        }
-        s.finish(&mut |r| reqs.push(r));
+        let reqs = lower(
+            &mut s,
+            (0..100u32)
+                .map(|i| Burst::read(u64::from(i / 2) * 4096, 4096, TensorKind::Ifmap, i % 2)),
+        );
         assert_eq!(s.breakdown().layer_mac, 2 * 2 * 64);
         // One MAC-line read per layer and one write per layer, no more.
         let meta: Vec<_> = reqs.iter().filter(|r| r.addr >= 2 * (1 << 30)).collect();
@@ -224,13 +219,10 @@ mod tests {
         // Open-layer tracking must not change the cost of the common
         // sequential (non-interleaved) trace: still two lines per layer.
         let mut s = SedaScheme::new(LayerMacStore::OffChip, 1 << 30);
-        let mut n = 0u64;
-        for layer in 0..7 {
-            s.transform(&Burst::read(0, 4096, TensorKind::Ifmap, layer), &mut |_| {
-                n += 1
-            });
-        }
-        s.finish(&mut |_| n += 1);
+        lower(
+            &mut s,
+            (0..7).map(|layer| Burst::read(0, 4096, TensorKind::Ifmap, layer)),
+        );
         assert_eq!(s.breakdown().layer_mac, 7 * 2 * 64);
     }
 }

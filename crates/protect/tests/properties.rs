@@ -1,6 +1,7 @@
 //! Property-based tests for the metadata cache and protection schemes.
 
 use proptest::prelude::*;
+use seda_dram::RunBuf;
 use seda_protect::{
     BlockMacKind, BlockMacScheme, LayerMacStore, MetaCache, MetaLayout, ProtectionScheme,
     SedaScheme, Unprotected,
@@ -99,13 +100,13 @@ proptest! {
         // SGX = MGX + VN + tree: its tally components dominate MGX's.
         let mut sgx = BlockMacScheme::new(BlockMacKind::Sgx, 64, 16 * GIB);
         let mut mgx = BlockMacScheme::new(BlockMacKind::Mgx, 64, 16 * GIB);
-        let mut sink = |_r| {};
+        let mut out = RunBuf::new();
         for b in &bursts {
-            sgx.transform(b, &mut sink);
-            mgx.transform(b, &mut sink);
+            sgx.transform(b, &mut out);
+            mgx.transform(b, &mut out);
         }
-        sgx.finish(&mut sink);
-        mgx.finish(&mut sink);
+        sgx.finish(&mut |_r| {});
+        mgx.finish(&mut |_r| {});
         let (s, m) = (sgx.breakdown(), mgx.breakdown());
         prop_assert_eq!(s.demand(), m.demand());
         prop_assert_eq!(s.overfetch_read, m.overfetch_read);
@@ -119,22 +120,24 @@ proptest! {
         // A 512 B-aligned burst of whole blocks needs no fill.
         let mut s = BlockMacScheme::new(BlockMacKind::Mgx, 512, GIB);
         let aligned = Burst::read(addr_blocks * 512, len_blocks * 512, TensorKind::Ifmap, 0);
-        s.transform(&aligned, &mut |_| {});
+        s.transform(&aligned, &mut RunBuf::new());
         prop_assert_eq!(s.breakdown().overfetch_read, 0);
         // Offsetting by one line forces fills at both edges.
         let mut s2 = BlockMacScheme::new(BlockMacKind::Mgx, 512, GIB);
         let unaligned = Burst::read(addr_blocks * 512 + 64, len_blocks * 512, TensorKind::Ifmap, 0);
-        s2.transform(&unaligned, &mut |_| {});
+        s2.transform(&unaligned, &mut RunBuf::new());
         prop_assert!(s2.breakdown().overfetch_read > 0);
     }
 
     #[test]
     fn baseline_equals_demand_grid(bursts in prop::collection::vec(arb_burst(), 0..40)) {
         let mut u = Unprotected::new();
-        let mut count = 0u64;
+        let mut out = RunBuf::new();
         for b in &bursts {
-            u.transform(b, &mut |_| count += 1);
+            u.transform(b, &mut out);
         }
+        let count = out.requests();
+        prop_assert_eq!(out.iter().count() as u64, count);
         let expected: u64 = bursts
             .iter()
             .map(|b| (b.end().div_ceil(64) * 64 - b.addr / 64 * 64) / 64)
@@ -146,11 +149,12 @@ proptest! {
     fn seda_requests_are_demand_plus_layer_lines(bursts in prop::collection::vec(arb_burst(), 1..40)) {
         let mut seda = SedaScheme::new(LayerMacStore::OffChip, GIB);
         let mut base = Unprotected::new();
-        let (mut n_seda, mut n_base) = (0u64, 0u64);
+        let (mut seda_out, mut base_out) = (RunBuf::new(), RunBuf::new());
         for b in &bursts {
-            seda.transform(b, &mut |_| n_seda += 1);
-            base.transform(b, &mut |_| n_base += 1);
+            seda.transform(b, &mut seda_out);
+            base.transform(b, &mut base_out);
         }
+        let (mut n_seda, n_base) = (seda_out.requests(), base_out.requests());
         seda.finish(&mut |_| n_seda += 1);
         prop_assert_eq!(n_seda - n_base, seda.breakdown().layer_mac / 64);
     }

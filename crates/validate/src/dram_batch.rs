@@ -14,12 +14,16 @@
 //! per-channel decomposition), random scatter, singleton-heavy hot-line
 //! revisits, short mixed streaks (the in-place short-streak step), and
 //! read/write turnaround. Every stream is additionally replayed
-//! pre-packed through [`DramSim::run_batch_packed`], the entry point the
-//! pipeline drives, and held to the same bit-identity bar.
+//! pre-packed through [`DramSim::run_batch_packed`], and run-encoded
+//! through [`DramSim::run_runs`] — the entry point the pipeline drives —
+//! on a random split of its runs (maximal, non-maximal or
+//! singleton-heavy), and held to the same bit-identity bar. The random
+//! configs include the degenerate `t_rfc >= t_refi` case, where both
+//! batched entry points must fall back to the exact kernel.
 
 use crate::ensure;
 use seda_adversary::Rng;
-use seda_dram::{DramConfig, DramSim, Request, ACCESS_BYTES};
+use seda_dram::{DramConfig, DramSim, Request, Run, RunBuf, ACCESS_BYTES};
 use seda_telemetry::SharedSink;
 
 /// A randomized organization biased toward fast-path boundaries:
@@ -207,22 +211,92 @@ fn replay_packed(cfg: &DramConfig, stream: &[Request], split: usize) -> DramSim 
     sim
 }
 
+/// Encodes `stream` as runs and cuts them at random points, so
+/// `run_runs` sees every split a caller could hand it: maximal runs
+/// (which straddle super-row region boundaries wherever the stream
+/// does), runs cut at random lengths, and singleton-heavy splits. The
+/// result is then replayed in two `run_runs` calls, split at a random
+/// run index.
+fn random_runs(rng: &mut Rng, stream: &[Request]) -> Vec<Run> {
+    let mut buf = RunBuf::new();
+    for &r in stream {
+        buf.push(r);
+    }
+    let mode = rng.below(3);
+    let mut runs = Vec::new();
+    for run in buf.runs() {
+        let (mut head, mut left) = (run.head, run.len);
+        while left > 0 {
+            let len = match mode {
+                0 => left,
+                1 => rng.range(1, left),
+                _ if rng.coin(3, 4) => 1,
+                _ => left,
+            };
+            runs.push(Run { head, len });
+            head += 2 * len;
+            left -= len;
+        }
+    }
+    runs
+}
+
+/// Replays `runs` through `run_runs` in two calls split at run `split`.
+fn replay_runs(cfg: &DramConfig, runs: &[Run], split: usize) -> DramSim {
+    let mut sim = DramSim::new(cfg.clone());
+    let (a, b) = runs.split_at(split.min(runs.len()));
+    sim.run_runs(a);
+    sim.run_runs(b);
+    sim
+}
+
 fn telemetry_snapshot(sim: &DramSim) -> seda_telemetry::Snapshot {
     let sink = SharedSink::new();
     sim.emit_telemetry_to(&sink);
     sink.snapshot()
 }
 
+/// Holds `kernel`'s replay to the exact kernel's: stats, elapsed clock,
+/// per-bank occupancy and telemetry snapshot, bit for bit.
+fn ensure_identical(ctx: &str, kernel: &str, exact: &DramSim, sim: &DramSim) -> Result<(), String> {
+    ensure!(
+        exact.stats() == sim.stats(),
+        "{ctx}: {kernel} stats diverge\n  exact: {:?}\n  {kernel}: {:?}",
+        exact.stats(),
+        sim.stats()
+    );
+    ensure!(
+        exact.elapsed_cycles() == sim.elapsed_cycles(),
+        "{ctx}: elapsed {} (exact) != {} ({kernel})",
+        exact.elapsed_cycles(),
+        sim.elapsed_cycles()
+    );
+    ensure!(
+        exact.bank_occupancy_cycles() == sim.bank_occupancy_cycles(),
+        "{ctx}: {kernel} per-bank occupancy diverges"
+    );
+    ensure!(
+        telemetry_snapshot(exact) == telemetry_snapshot(sim),
+        "{ctx}: {kernel} telemetry snapshots diverge\n  exact: {}\n  {kernel}: {}",
+        telemetry_snapshot(exact).to_json(),
+        telemetry_snapshot(sim).to_json()
+    );
+    Ok(())
+}
+
 /// One randomized case: one config, every stream shape, bit-identity
-/// of the batched kernel against the exact kernel on each.
+/// of the batched kernel (per-line and run-encoded) against the exact
+/// kernel on each.
 pub fn check_case(rng: &mut Rng) -> Result<(), String> {
     let cfg = random_config(rng);
     for shape in SHAPES {
         let stream = stream_of(shape, rng, &cfg, 1500);
         let split = rng.below(stream.len() as u64 + 1) as usize;
+        let runs = random_runs(rng, &stream);
+        let run_split = rng.below(runs.len() as u64 + 1) as usize;
         let ctx = format!(
             "{shape:?}: channels={} ranks={} banks={} row={} t_bl={} t_wr={} \
-             t_refi={} t_rfc={} split={split}",
+             t_refi={} t_rfc={} split={split} runs={} run_split={run_split}",
             cfg.channels,
             cfg.ranks,
             cfg.banks,
@@ -230,56 +304,23 @@ pub fn check_case(rng: &mut Rng) -> Result<(), String> {
             cfg.t_bl,
             cfg.t_wr,
             cfg.t_refi,
-            cfg.t_rfc
+            cfg.t_rfc,
+            runs.len()
+        );
+        ensure!(
+            seda_dram::run::expand(&runs).eq(stream.iter().map(|r| r.pack())),
+            "{ctx}: the run split does not expand to the stream"
         );
 
         let exact = replay_exact(&cfg, &stream);
-        let batched = replay_batched(&cfg, &stream, split);
-
-        ensure!(
-            exact.stats() == batched.stats(),
-            "{ctx}: stats diverge\n  exact:   {:?}\n  batched: {:?}",
-            exact.stats(),
-            batched.stats()
-        );
-        ensure!(
-            exact.elapsed_cycles() == batched.elapsed_cycles(),
-            "{ctx}: elapsed {} (exact) != {} (batched)",
-            exact.elapsed_cycles(),
-            batched.elapsed_cycles()
-        );
-        ensure!(
-            exact.bank_occupancy_cycles() == batched.bank_occupancy_cycles(),
-            "{ctx}: per-bank occupancy diverges"
-        );
-        ensure!(
-            telemetry_snapshot(&exact) == telemetry_snapshot(&batched),
-            "{ctx}: telemetry snapshots diverge\n  exact:   {}\n  batched: {}",
-            telemetry_snapshot(&exact).to_json(),
-            telemetry_snapshot(&batched).to_json()
-        );
-
-        let packed = replay_packed(&cfg, &stream, split);
-        ensure!(
-            exact.stats() == packed.stats(),
-            "{ctx}: packed stats diverge\n  exact:  {:?}\n  packed: {:?}",
-            exact.stats(),
-            packed.stats()
-        );
-        ensure!(
-            exact.elapsed_cycles() == packed.elapsed_cycles(),
-            "{ctx}: elapsed {} (exact) != {} (packed)",
-            exact.elapsed_cycles(),
-            packed.elapsed_cycles()
-        );
-        ensure!(
-            exact.bank_occupancy_cycles() == packed.bank_occupancy_cycles(),
-            "{ctx}: packed per-bank occupancy diverges"
-        );
-        ensure!(
-            telemetry_snapshot(&exact) == telemetry_snapshot(&packed),
-            "{ctx}: packed telemetry snapshots diverge"
-        );
+        ensure_identical(
+            &ctx,
+            "batched",
+            &exact,
+            &replay_batched(&cfg, &stream, split),
+        )?;
+        ensure_identical(&ctx, "packed", &exact, &replay_packed(&cfg, &stream, split))?;
+        ensure_identical(&ctx, "runs", &exact, &replay_runs(&cfg, &runs, run_split))?;
     }
     Ok(())
 }

@@ -4,7 +4,7 @@
 //! analytical and a cycle-accurate compute model, a streamed and a
 //! per-segment B-AES pad path, scheme-level traffic models and the
 //! functional crypto path — and this crate cross-checks them with seeded
-//! randomized oracles instead of hand-picked shapes. Eleven families:
+//! randomized oracles instead of hand-picked shapes. Twelve families:
 //!
 //! * [`gemm`] — `exact_gemm` vs `gemm_cycles` and MAC totals over random
 //!   shapes for both dataflows, including fold/remainder edges.
@@ -29,6 +29,11 @@
 //!   clock, bank occupancy, and telemetry snapshots over streaming,
 //!   row-thrash, refresh-straddling, channel-interleaved, and random
 //!   streams.
+//! * [`runs`] — run-encoded lowering and replay against the per-line
+//!   view: random bursts through every scheme kind (random granularities
+//!   and metadata-cache sizes) give canonical runs that expand to
+//!   `LoweredTrace::layer`, and `DramSim::run_runs` ends every layer on
+//!   the same clock, stats and traffic as `run_batch_packed`.
 //! * [`pipeline`] — `run_trace` totals invariant under `TraceCache` reuse
 //!   and sweep parallelism.
 //! * [`adversary`] — random fault-injection cells from `seda-adversary`'s
@@ -77,6 +82,7 @@ pub mod meta_cache;
 pub mod otp;
 pub mod pipeline;
 pub mod resilience;
+pub mod runs;
 pub mod schemes;
 pub mod serving;
 pub mod stream;
@@ -84,7 +90,7 @@ pub mod stream;
 use seda_adversary::Rng;
 use std::fmt;
 
-/// The eleven oracle/invariant families of the harness.
+/// The twelve oracle/invariant families of the harness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Family {
     /// Cycle-accurate vs analytical systolic-array model.
@@ -99,6 +105,8 @@ pub enum Family {
     Dram,
     /// Batched vs per-access DRAM replay kernels, bit for bit.
     DramBatch,
+    /// Run-encoded vs per-line lowering and replay, bit for bit.
+    Runs,
     /// Pipeline totals under trace caching and sweep parallelism.
     Pipeline,
     /// Fault-injection verdicts vs the paper-claimed detection matrix.
@@ -113,7 +121,7 @@ pub enum Family {
 
 impl Family {
     /// All families in canonical order.
-    pub fn all() -> [Family; 11] {
+    pub fn all() -> [Family; 12] {
         [
             Family::Gemm,
             Family::Otp,
@@ -121,6 +129,7 @@ impl Family {
             Family::MetaCache,
             Family::Dram,
             Family::DramBatch,
+            Family::Runs,
             Family::Pipeline,
             Family::Adversary,
             Family::Resilience,
@@ -138,6 +147,7 @@ impl Family {
             Family::MetaCache => "meta-cache",
             Family::Dram => "dram",
             Family::DramBatch => "dram-batch",
+            Family::Runs => "runs",
             Family::Pipeline => "pipeline",
             Family::Adversary => "adversary",
             Family::Resilience => "resilience",
@@ -147,7 +157,7 @@ impl Family {
     }
 
     /// Parses a CLI name (`gemm`, `otp`, `schemes`, `meta-cache`, `dram`,
-    /// `dram-batch`, `pipeline`, `adversary`, `resilience`, `serving`,
+    /// `dram-batch`, `runs`, `pipeline`, `adversary`, `resilience`, `serving`,
     /// `stream`).
     pub fn parse(s: &str) -> Option<Family> {
         Family::all().into_iter().find(|f| f.name() == s)
@@ -163,6 +173,7 @@ impl Family {
             Family::MetaCache => 96,
             Family::Dram => 12,
             Family::DramBatch => 12,
+            Family::Runs => 64,
             Family::Pipeline => 4,
             Family::Adversary => 16,
             // Case 0 alone runs three full headline sweeps.
@@ -273,6 +284,7 @@ fn checker(family: Family) -> fn(&mut Rng) -> Result<(), String> {
         Family::MetaCache => meta_cache::check_case,
         Family::Dram => dram::check_case,
         Family::DramBatch => dram_batch::check_case,
+        Family::Runs => runs::check_case,
         Family::Pipeline => pipeline::check_case,
         Family::Adversary => adversary::check_case,
         Family::Resilience => resilience::check_case,

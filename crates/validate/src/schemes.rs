@@ -11,6 +11,7 @@
 
 use crate::ensure;
 use seda_adversary::Rng;
+use seda_dram::RunBuf;
 use seda_protect::scheme::{line_down, line_up, LINE_BYTES};
 use seda_protect::{
     scheme_by_name, BlockMacKind, BlockMacScheme, ProtectionScheme, TrafficBreakdown,
@@ -62,10 +63,11 @@ fn run_scheme(
     scheme: &mut dyn ProtectionScheme,
     stream: &[Burst],
 ) -> (Vec<seda_dram::Request>, TrafficBreakdown) {
-    let mut requests = Vec::new();
+    let mut out = RunBuf::new();
     for burst in stream {
-        scheme.transform(burst, &mut |r| requests.push(r));
+        scheme.transform(burst, &mut out);
     }
+    let mut requests: Vec<seda_dram::Request> = out.iter().collect();
     scheme.finish(&mut |r| requests.push(r));
     (requests, scheme.breakdown())
 }

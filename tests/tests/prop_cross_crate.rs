@@ -10,7 +10,7 @@ use seda::protect::{
 use seda::scalesim::{Burst, TensorKind};
 use seda_crypto::ctr::CounterSeed;
 use seda_crypto::otp::{BandwidthAwareOtp, OtpStrategy, TraditionalOtp};
-use seda_dram::Request;
+use seda_dram::{Request, RunBuf};
 
 fn arb_burst() -> impl Strategy<Value = Burst> {
     (
@@ -41,10 +41,11 @@ fn run_scheme(
     scheme: &mut dyn ProtectionScheme,
     bursts: &[Burst],
 ) -> (Vec<Request>, seda::protect::TrafficBreakdown) {
-    let mut reqs = Vec::new();
+    let mut out = RunBuf::new();
     for b in bursts {
-        scheme.transform(b, &mut |r| reqs.push(r));
+        scheme.transform(b, &mut out);
     }
+    let mut reqs: Vec<Request> = out.iter().collect();
     scheme.finish(&mut |r| reqs.push(r));
     (reqs, scheme.breakdown())
 }
