@@ -24,10 +24,13 @@ fn main() {
     for model in zoo::all_models() {
         let sim = simulate_model(&npu, &model);
         let mut securator = SecuratorScheme::new(PROTECTED_BYTES);
+        // Only the scheme's tallies matter here; the lowered runs are
+        // dropped after every burst.
         let mut lowered = RunBuf::new();
         for layer in &sim.layers {
             for burst in &layer.bursts {
                 securator.transform(burst, &mut lowered);
+                lowered.clear();
             }
         }
         securator.finish(&mut |_r| {});

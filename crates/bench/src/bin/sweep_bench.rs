@@ -3,11 +3,11 @@
 //! trace per (NPU, model) pair and executes points on scoped threads.
 //!
 //! A second, serial pass over the same 156 points times the pipeline's
-//! two main stages on their own: lowering each point's trace into runs
-//! (`LoweredTrace::relower_runs`) and replaying them through the DRAM
-//! model (`DramSim::run_runs`), with the request and run counts they
-//! moved. These are the stage-by-stage numbers a performance change
-//! reports before and after.
+//! main stage on its own: lowering each point's trace into runs
+//! (`LoweredTrace::relower`), with the request and run counts it
+//! produced. DRAM replay of the same lowered traces is timed by
+//! `dram_bench`; together they are the stage-by-stage numbers a
+//! performance change reports before and after.
 //!
 //! Besides the human-readable summary, the run is recorded in
 //! `BENCH_sweep.json` (or the path given as the first argument) so CI can
@@ -15,10 +15,9 @@
 //!
 //! Usage: `cargo run --release -p seda-bench --bin sweep_bench [out.json]`
 
-use seda::dram::DramSim;
 use seda::experiment::{evaluate_suites_with_stats, scheme_names};
 use seda::models::zoo;
-use seda::pipeline::{dram_config_for, LoweredTrace};
+use seda::pipeline::LoweredTrace;
 use seda::protect::scheme_by_name;
 use seda::scalesim::{NpuConfig, TraceCache};
 use seda_bench::{round6, write_or_die};
@@ -51,48 +50,41 @@ struct BenchRecord {
     parallel_engaged: bool,
     /// Serial pass: milliseconds lowering every point's trace into runs.
     lower_ms: f64,
-    /// Serial pass: milliseconds replaying those runs through DRAM.
-    replay_ms: f64,
     /// Serial pass: 64 B requests lowered over all points.
     requests: u64,
     /// Serial pass: runs those requests form.
     runs: u64,
 }
 
-/// Wall-clock and volume of the serial stage pass.
+/// Wall-clock and volume of the serial lowering pass.
 #[derive(Default)]
-struct Stages {
-    lower_s: f64,
-    replay_s: f64,
+struct Lowering {
+    seconds: f64,
     requests: u64,
     runs: u64,
 }
 
-/// Lowers and replays every point once, serially, timing each stage.
-fn time_stages(npus: &[NpuConfig], models: &[seda::models::Model]) -> Stages {
+/// Lowers every point once, serially, timing only the lowering.
+fn time_lowering(npus: &[NpuConfig], models: &[seda::models::Model]) -> Lowering {
     let cache = TraceCache::new();
-    let mut stages = Stages::default();
+    let mut lowering = Lowering::default();
     let mut lowered = LoweredTrace::default();
     for npu in npus {
         for model in models {
             let sim = cache.get_or_simulate(npu, model);
             for name in scheme_names() {
                 let mut scheme = scheme_by_name(name).expect("lineup name");
-                let mut dram = DramSim::new(dram_config_for(npu));
                 let t0 = Instant::now();
-                lowered.relower_runs(&sim, scheme.as_mut());
-                let t1 = Instant::now();
-                for li in 0..lowered.layers() {
-                    dram.run_runs(lowered.layer_runs(li));
-                }
-                stages.replay_s += t1.elapsed().as_secs_f64();
-                stages.lower_s += (t1 - t0).as_secs_f64();
-                stages.requests += dram.stats().accesses();
-                stages.runs += lowered.runs().len() as u64;
+                lowered.relower(&sim, scheme.as_mut());
+                lowering.seconds += t0.elapsed().as_secs_f64();
+                lowering.requests += (0..lowered.layers())
+                    .map(|li| lowered.layer_requests(li))
+                    .sum::<u64>();
+                lowering.runs += lowered.runs().len() as u64;
             }
         }
     }
-    stages
+    lowering
 }
 
 fn main() {
@@ -105,7 +97,7 @@ fn main() {
     let t0 = Instant::now();
     let (_, stats) = evaluate_suites_with_stats(&npus, &models);
     let engine = t0.elapsed();
-    let stages = time_stages(&npus, &models);
+    let lowering = time_lowering(&npus, &models);
 
     let host_cpus = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -122,10 +114,9 @@ fn main() {
         engine_ms_per_point: round6(engine.as_secs_f64() * 1e3 / points as f64),
         host_cpus,
         parallel_engaged: host_cpus > 1,
-        lower_ms: round6(stages.lower_s * 1e3),
-        replay_ms: round6(stages.replay_s * 1e3),
-        requests: stages.requests,
-        runs: stages.runs,
+        lower_ms: round6(lowering.seconds * 1e3),
+        requests: lowering.requests,
+        runs: lowering.runs,
     };
 
     println!(
@@ -151,8 +142,8 @@ fn main() {
     );
 
     println!(
-        "serial stages: lowering {:.2} ms, DRAM replay {:.2} ms ({} requests in {} runs)",
-        record.lower_ms, record.replay_ms, record.requests, record.runs
+        "serial lowering: {:.2} ms ({} requests in {} runs)",
+        record.lower_ms, record.requests, record.runs
     );
 
     let json = serde_json::to_string_pretty(&record).expect("serializable");

@@ -55,8 +55,7 @@ pub fn dram_config_for(npu: &NpuConfig) -> DramConfig {
 /// [`LoweredTrace::layer`] and [`LoweredTrace::requests`] give the same
 /// stream as a per-line *packed* view ([`Request::pack`]:
 /// `(block << 1) | is_write`), the form [`DramSim::run_batch_packed`]
-/// replays. [`LoweredTrace::lower`] and [`LoweredTrace::relower`] build
-/// that view eagerly; after [`LoweredTrace::relower_runs`] it is expanded
+/// replays. Lowering only stores runs; that view is expanded from them
 /// on first use.
 ///
 /// [`run_trace`] itself relowers per inference (reusing the allocation),
@@ -104,20 +103,10 @@ impl LoweredTrace {
         lowered
     }
 
-    /// Re-lowers into the existing buffers, reusing their allocations,
-    /// and expands the per-line packed view.
+    /// Re-lowers into the existing run buffer, reusing its allocation.
+    /// This is the per-inference path of [`run_trace`]: scheme state
+    /// advances, and the per-line view is dropped until it is next used.
     pub fn relower(&mut self, sim: &ModelSim, scheme: &mut dyn ProtectionScheme) {
-        let mut packed = self.packed.take().unwrap_or_default();
-        self.relower_runs(sim, scheme);
-        packed.clear();
-        packed.extend(expand(self.runs.runs()));
-        self.packed = OnceLock::from(packed);
-    }
-
-    /// Re-lowers the runs only, reusing their allocation. This is the
-    /// per-inference path of [`run_trace`]: scheme state advances, but no
-    /// per-line storage is touched.
-    pub fn relower_runs(&mut self, sim: &ModelSim, scheme: &mut dyn ProtectionScheme) {
         self.packed.take();
         self.runs.clear();
         self.layer_ends.clear();
@@ -188,8 +177,11 @@ impl LoweredTrace {
     ///
     /// [`Request::unpack`]: seda_dram::Request::unpack
     pub fn requests(&self) -> &[u64] {
-        self.packed
-            .get_or_init(|| expand(self.runs.runs()).collect())
+        self.packed.get_or_init(|| {
+            let mut packed = Vec::with_capacity(self.runs.requests() as usize);
+            packed.extend(expand(self.runs.runs()));
+            packed
+        })
     }
 }
 
@@ -354,7 +346,7 @@ pub fn try_run_trace(
     let mut lowered = LoweredTrace::default();
     let mut results = Vec::with_capacity(repeats as usize);
     for _ in 0..repeats {
-        lowered.relower_runs(sim, scheme);
+        lowered.relower(sim, scheme);
         let mut layers = Vec::with_capacity(sim.layers.len());
         let mut total = 0u64;
         for (li, layer) in sim.layers.iter().enumerate() {
@@ -509,52 +501,6 @@ mod tests {
             .flat_map(|i| lowered.layer(i).iter().copied())
             .collect();
         assert_eq!(flat, lowered.requests());
-    }
-
-    #[test]
-    fn runs_are_canonical_and_expand_to_the_per_line_view() {
-        let npu = NpuConfig::edge();
-        let sim = simulate_model(&npu, &zoo::lenet());
-        let mut sgx = BlockMacScheme::new(BlockMacKind::Sgx, 512, 16 << 30);
-        let lowered = LoweredTrace::lower(&sim, &mut sgx);
-        for li in 0..lowered.layers() {
-            let runs = lowered.layer_runs(li);
-            assert!(runs.iter().all(|r| r.len > 0));
-            assert!(runs.windows(2).all(|w| w[0].next() != w[1].head));
-            let expanded: Vec<u64> = expand(runs).collect();
-            assert_eq!(expanded, lowered.layer(li));
-            assert_eq!(lowered.layer_requests(li), expanded.len() as u64);
-        }
-        // A run-only relowering of a fresh scheme expands to the same view.
-        let mut runs_only = LoweredTrace::default();
-        runs_only.relower_runs(
-            &sim,
-            &mut BlockMacScheme::new(BlockMacKind::Sgx, 512, 16 << 30),
-        );
-        assert_eq!(runs_only.runs(), lowered.runs());
-        assert_eq!(runs_only.requests(), lowered.requests());
-    }
-
-    #[test]
-    fn run_replay_matches_per_line_replay() {
-        let npu = NpuConfig::server();
-        let sim = simulate_model(&npu, &zoo::ncf());
-        let lowered = LoweredTrace::lower(
-            &sim,
-            &mut BlockMacScheme::new(BlockMacKind::Mgx, 64, 16 << 30),
-        );
-        let mut by_line = DramSim::new(dram_config_for(&npu));
-        let mut by_run = DramSim::new(dram_config_for(&npu));
-        for li in 0..lowered.layers() {
-            by_line.run_batch_packed(lowered.layer(li));
-            by_run.run_runs(lowered.layer_runs(li));
-            assert_eq!(by_line.elapsed_cycles(), by_run.elapsed_cycles());
-        }
-        assert_eq!(by_line.stats(), by_run.stats());
-        assert_eq!(
-            by_line.bank_occupancy_cycles(),
-            by_run.bank_occupancy_cycles()
-        );
     }
 
     #[test]

@@ -33,7 +33,8 @@
 //!   view: random bursts through every scheme kind (random granularities
 //!   and metadata-cache sizes) give canonical runs that expand to
 //!   `LoweredTrace::layer`, and `DramSim::run_runs` ends every layer on
-//!   the same clock, stats and traffic as `run_batch_packed`.
+//!   the same clock and stats as `run_batch_packed`. Case 0 is a real
+//!   trace (NCF on the server NPU).
 //! * [`pipeline`] — `run_trace` totals invariant under `TraceCache` reuse
 //!   and sweep parallelism.
 //! * [`adversary`] — random fault-injection cells from `seda-adversary`'s
@@ -271,6 +272,10 @@ pub fn run_case(family: Family, seed: u64, case: u32) -> Result<(), String> {
     // case 0 (a fixed sweep, not a randomized draw) so CI always runs it.
     if family == Family::Resilience && case == 0 {
         return resilience::headline_proof(seed);
+    }
+    // Likewise the runs family checks a real model trace in case 0.
+    if family == Family::Runs && case == 0 {
+        return runs::real_trace(seed);
     }
     let mut rng = Rng::for_stream(seed, u64::from(case));
     checker(family)(&mut rng)

@@ -1,6 +1,6 @@
 //! Run-encoded lowering against the per-line view.
 //!
-//! The pipeline lowers each inference into runs ([`LoweredTrace::relower_runs`])
+//! The pipeline lowers each inference into runs ([`LoweredTrace::relower`])
 //! and replays them with [`DramSim::run_runs`]; the per-line packed view
 //! ([`LoweredTrace::layer`]) and [`DramSim::run_batch_packed`] are the
 //! reference. Random burst streams go through every scheme kind — SGX and
@@ -13,14 +13,15 @@
 //!   layer mark);
 //! * expanding a layer's runs gives exactly [`LoweredTrace::layer`], and
 //!   the layer's request count is that slice's length;
-//! * over two inferences plus the `finish` drain, a run-lowered,
-//!   run-replayed twin of the scheme ends every layer on the same DRAM
-//!   clock as the per-line path, with identical `DramStats`, bank
-//!   occupancy, `TrafficBreakdown` and metadata-cache stats.
+//! * over two inferences plus the `finish` drain, replaying the runs
+//!   ends every layer on the same DRAM clock as replaying the per-line
+//!   view, with identical `DramStats` and bank occupancy.
 //!
 //! Streams mix contiguous bursts (so runs merge across bursts and across
 //! layer boundaries, where the mark must stop them), repeats and random
-//! jumps, in both directions and with unaligned edges.
+//! jumps, in both directions and with unaligned edges. Case 0 runs a real
+//! trace instead: NCF on the server NPU through every scheme kind and the
+//! lineup's MGX-64B.
 
 use crate::ensure;
 use seda::pipeline::{dram_config_for, LoweredTrace};
@@ -163,32 +164,26 @@ fn check_canonical(ctx: &str, lowered: &LoweredTrace) -> Result<(), String> {
     Ok(())
 }
 
-/// Lowers and replays two inferences plus the `finish` drain through
-/// `by_line` per line and through its cold twin `by_run` by runs,
-/// checking the per-line view after every lowering and the DRAM clock
-/// after every layer.
-fn check_pair(
+/// Lowers two inferences plus the `finish` drain through `scheme` and
+/// replays each lowering twice, per line and by runs, checking the
+/// per-line view after every lowering and the DRAM clock after every
+/// layer.
+fn check_scheme(
     ctx: &str,
     sim: &ModelSim,
-    by_line: &mut dyn ProtectionScheme,
-    by_run: &mut dyn ProtectionScheme,
+    npu: &NpuConfig,
+    scheme: &mut dyn ProtectionScheme,
 ) -> Result<(), String> {
-    let npu = NpuConfig::edge();
-    let mut line_dram = DramSim::new(dram_config_for(&npu));
-    let mut run_dram = DramSim::new(dram_config_for(&npu));
-    let (mut lines, mut runs) = (LoweredTrace::default(), LoweredTrace::default());
+    let mut line_dram = DramSim::new(dram_config_for(npu));
+    let mut run_dram = DramSim::new(dram_config_for(npu));
+    let mut lowered = LoweredTrace::default();
     for inference in 0..2 {
         let ctx = format!("{ctx} inference {inference}");
-        lines.relower(sim, by_line);
-        runs.relower_runs(sim, by_run);
-        check_canonical(&ctx, &lines)?;
-        ensure!(
-            runs.runs() == lines.runs(),
-            "{ctx}: run-only lowering differs from the full lowering"
-        );
-        for li in 0..lines.layers() {
-            line_dram.run_batch_packed(lines.layer(li));
-            run_dram.run_runs(runs.layer_runs(li));
+        lowered.relower(sim, scheme);
+        check_canonical(&ctx, &lowered)?;
+        for li in 0..lowered.layers() {
+            line_dram.run_batch_packed(lowered.layer(li));
+            run_dram.run_runs(lowered.layer_runs(li));
             ensure!(
                 line_dram.elapsed_cycles() == run_dram.elapsed_cycles(),
                 "{ctx}: layer {li} ends at cycle {} per line, {} by runs",
@@ -197,12 +192,10 @@ fn check_pair(
             );
         }
     }
-    let (mut line_flush, mut run_flush) = (Vec::new(), Vec::new());
-    by_line.finish(&mut |r| line_flush.push(r));
-    by_run.finish(&mut |r| run_flush.push(r));
-    ensure!(line_flush == run_flush, "{ctx}: finish drains differ");
-    line_dram.run_batch(&line_flush);
-    run_dram.run_batch(&run_flush);
+    let mut flush = Vec::new();
+    scheme.finish(&mut |r| flush.push(r));
+    line_dram.run_batch(&flush);
+    run_dram.run_batch(&flush);
     ensure!(
         line_dram.stats() == run_dram.stats()
             && line_dram.elapsed_cycles() == run_dram.elapsed_cycles()
@@ -211,33 +204,31 @@ fn check_pair(
         line_dram.stats(),
         run_dram.stats()
     );
-    ensure!(
-        by_line.breakdown() == by_run.breakdown(),
-        "{ctx}: traffic diverges\n  per line: {:?}\n  by runs:  {:?}",
-        by_line.breakdown(),
-        by_run.breakdown()
-    );
+    Ok(())
+}
+
+/// Checks `sim` on `npu` through every scheme kind of `rng`'s draw.
+fn check_trace(rng: &mut Rng, sim: &ModelSim, npu: &NpuConfig) -> Result<(), String> {
+    for spec in random_schemes(rng) {
+        check_scheme(&format!("{spec:?}"), sim, npu, spec.build().as_mut())?;
+    }
     Ok(())
 }
 
 /// One randomized case: a random trace through every scheme kind.
 pub fn check_case(rng: &mut Rng) -> Result<(), String> {
     let sim = random_sim(rng);
-    for spec in random_schemes(rng) {
-        let ctx = format!("{spec:?}");
-        if let SchemeSpec::BlockMac(block_mac) = spec {
-            let (mut by_line, mut by_run) = (block_mac.build(), block_mac.build());
-            check_pair(&ctx, &sim, &mut by_line, &mut by_run)?;
-            ensure!(
-                by_line.mac_cache_stats() == by_run.mac_cache_stats()
-                    && by_line.vn_cache_stats() == by_run.vn_cache_stats(),
-                "{ctx}: metadata-cache stats diverge"
-            );
-        } else {
-            check_pair(&ctx, &sim, spec.build().as_mut(), spec.build().as_mut())?;
-        }
-    }
-    Ok(())
+    check_trace(rng, &sim, &NpuConfig::edge())
+}
+
+/// Case 0: NCF's real trace on the server NPU through every scheme kind
+/// and the lineup's MGX-64B.
+pub fn real_trace(seed: u64) -> Result<(), String> {
+    let npu = NpuConfig::server();
+    let sim = simulate_model(&npu, &zoo::ncf());
+    check_trace(&mut Rng::for_stream(seed, 0), &sim, &npu)?;
+    let mut mgx = BlockMacScheme::new(BlockMacKind::Mgx, 64, PROTECTED_BYTES);
+    check_scheme("ncf server MGX-64B", &sim, &npu, &mut mgx)
 }
 
 #[cfg(test)]
