@@ -4,7 +4,7 @@
 //! Usage: `cargo run --release -p seda-bench --bin custom_topology -- <net.csv> [server|edge]`
 //! With no arguments, a built-in sample topology demonstrates the format.
 
-use seda::experiment::evaluate;
+use seda::experiment::{evaluations_of, lineup};
 use seda::models::{parse_topology, Model};
 use seda::report::{figure5, figure6};
 
@@ -47,8 +47,8 @@ fn main() {
         model.total_macs() as f64 / 1e9,
         npu.name
     );
-    let eval = evaluate(&npu, std::slice::from_ref(&model));
-    print!("{}", figure5(&eval));
+    let evals = evaluations_of(&lineup(std::slice::from_ref(&npu), &[model]).run());
+    print!("{}", figure5(&evals[0]));
     println!();
-    print!("{}", figure6(&eval));
+    print!("{}", figure6(&evals[0]));
 }

@@ -5,8 +5,9 @@
 //! Usage:
 //! `cargo run --release -p seda-bench --bin experiments_md > EXPERIMENTS.md`
 
-use seda::experiment::{evaluate_paper_suite, Evaluation};
+use seda::experiment::{evaluations_of, lineup, Evaluation};
 use seda::hw::{baes_cost, taes_cost};
+use seda::models::zoo;
 use seda::scalesim::NpuConfig;
 
 /// Paper-reported average overheads (percent) for Fig. 5 / Fig. 6.
@@ -63,8 +64,9 @@ fn workload_table(eval: &Evaluation, perf: bool) -> String {
 }
 
 fn main() {
-    let server = evaluate_paper_suite(&NpuConfig::server());
-    let edge = evaluate_paper_suite(&NpuConfig::edge());
+    let npus = [NpuConfig::server(), NpuConfig::edge()];
+    let evals = evaluations_of(&lineup(&npus, &zoo::all_models()).run());
+    let (server, edge) = (&evals[0], &evals[1]);
 
     println!("# EXPERIMENTS — paper vs. measured");
     println!();
@@ -91,8 +93,8 @@ fn main() {
     println!("|---|---|---|---|---|---|");
     for (figure, scheme, p_server, p_edge) in PAPER {
         let perf = figure.contains("perf");
-        let ours_server = mean(&server, scheme, perf);
-        let ours_edge = mean(&edge, scheme, perf);
+        let ours_server = mean(server, scheme, perf);
+        let ours_edge = mean(edge, scheme, perf);
         let fmt = |paper: f64, ours: f64| {
             if *scheme == "SeDA" && perf {
                 format!("<{paper:.0}% | {ours:+.2}%")
@@ -109,19 +111,19 @@ fn main() {
     println!();
     println!("## Fig. 5 — normalized memory traffic, server NPU");
     println!();
-    print!("{}", workload_table(&server, false));
+    print!("{}", workload_table(server, false));
     println!();
     println!("## Fig. 5 — normalized memory traffic, edge NPU");
     println!();
-    print!("{}", workload_table(&edge, false));
+    print!("{}", workload_table(edge, false));
     println!();
     println!("## Fig. 6(a) — normalized runtime, server NPU");
     println!();
-    print!("{}", workload_table(&server, true));
+    print!("{}", workload_table(server, true));
     println!();
     println!("## Fig. 6(b) — normalized runtime, edge NPU");
     println!();
-    print!("{}", workload_table(&edge, true));
+    print!("{}", workload_table(edge, true));
     println!();
     println!("## Fig. 4 — encryption hardware scaling (28 nm model)");
     println!();
@@ -233,7 +235,7 @@ fn main() {
     println!();
     println!("Known deviations (documented, not tuned away):");
     println!();
-    let sgx_server = mean(&server, "SGX-64B", true);
+    let sgx_server = mean(server, "SGX-64B", true);
     println!("* Our runtime overheads are larger than the paper's (e.g. SGX-64B");
     println!("  {sgx_server:+.0}% vs +22% on the server NPU): with batch-1 inference and Table");
     println!("  II's bandwidth, our layers are almost all memory-bound, so traffic");

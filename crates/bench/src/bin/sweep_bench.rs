@@ -1,6 +1,7 @@
 //! Times the sweep engine on the paper's headline two-NPU matrix
-//! (13 workloads × 6 schemes × 2 NPUs): `evaluate_suites` shares one
-//! trace per (NPU, model) pair and executes points on scoped threads.
+//! (13 workloads × 6 schemes × 2 NPUs): the `experiment::lineup` sweep
+//! shares one trace per (NPU, model) pair and executes points on scoped
+//! threads.
 //!
 //! A second, serial pass over the same 156 points times the pipeline's
 //! main stage on its own: lowering each point's trace into runs
@@ -15,7 +16,7 @@
 //!
 //! Usage: `cargo run --release -p seda-bench --bin sweep_bench [out.json]`
 
-use seda::experiment::{evaluate_suites_with_stats, scheme_names};
+use seda::experiment::{lineup, scheme_names};
 use seda::models::zoo;
 use seda::pipeline::LoweredTrace;
 use seda::protect::scheme_by_name;
@@ -95,7 +96,7 @@ fn main() {
     let models = zoo::all_models();
 
     let t0 = Instant::now();
-    let (_, stats) = evaluate_suites_with_stats(&npus, &models);
+    let stats = lineup(&npus, &models).run().stats;
     let engine = t0.elapsed();
     let lowering = time_lowering(&npus, &models);
 

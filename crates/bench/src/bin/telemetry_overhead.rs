@@ -20,7 +20,7 @@
 //!
 //! Usage: `cargo run --release -p seda-bench --bin telemetry_overhead [out.json]`
 
-use seda::experiment::evaluate_suites_with_stats;
+use seda::experiment::{evaluations_of, lineup};
 use seda::models::zoo;
 use seda::scalesim::NpuConfig;
 use seda::telemetry;
@@ -58,7 +58,7 @@ fn run_headline_sweep() -> f64 {
     let npus = [NpuConfig::server(), NpuConfig::edge()];
     let models = zoo::all_models();
     let t = Instant::now();
-    let (evals, _) = evaluate_suites_with_stats(&npus, &models);
+    let evals = evaluations_of(&lineup(&npus, &models).run());
     let elapsed = t.elapsed().as_secs_f64() * 1e3;
     assert!(!evals.is_empty(), "sweep produced results");
     elapsed

@@ -37,7 +37,7 @@ pub const EXPERIMENTS: &[(&str, &str)] = &[
     ("custom_topology", "run a user CSV topology"),
     (
         "sweep_bench",
-        "sweep-engine wall-clock and trace-cache reuse",
+        "sweep-engine wall-clock, trace-cache reuse, serial lowering pass",
     ),
     (
         "dram_bench",

@@ -1,11 +1,13 @@
 //! The paper's headline experiments: normalized memory traffic (Fig. 5)
 //! and normalized performance (Fig. 6) across the 13 workloads and the
-//! five protection schemes, on both NPUs.
+//! five protection schemes plus the unprotected baseline, on both NPUs.
+//!
+//! [`lineup`] builds the Fig. 5/6 [`Sweep`]; [`evaluations_of`] turns its
+//! results into one normalized [`Evaluation`] per NPU.
 
 use crate::pipeline::RunResult;
-use crate::sweep::{Sweep, SweepResults, SweepStats};
-use seda_dram::DramConfig;
-use seda_models::{zoo, Model};
+use crate::sweep::{Sweep, SweepResults};
+use seda_models::Model;
 use seda_scalesim::NpuConfig;
 use serde::{Deserialize, Serialize};
 
@@ -81,65 +83,37 @@ impl Evaluation {
     }
 }
 
-/// Evaluates `models` under the full scheme lineup on `npu`.
+/// The Fig. 5/6 sweep: `models` under the full scheme lineup
+/// ([`scheme_names`], baseline first) on every NPU in `npus`.
 ///
-/// Runs on the [`Sweep`] engine: each (NPU, model) trace is simulated
-/// exactly once and shared across all six schemes, and points execute in
-/// parallel with results in deterministic lineup order.
-pub fn evaluate(npu: &NpuConfig, models: &[Model]) -> Evaluation {
-    let results = lineup_sweep(std::slice::from_ref(npu), models).run();
-    evaluation_of(&results, 0)
-}
-
-/// Evaluates `models` under the full lineup on several NPUs as *one*
-/// parallel sweep — all points share a thread pool and a trace cache, so
-/// this is the fastest way to produce the paper's two-NPU headline data.
-/// Returns one [`Evaluation`] per NPU, in input order.
-pub fn evaluate_suites(npus: &[NpuConfig], models: &[Model]) -> Vec<Evaluation> {
-    evaluate_suites_with_stats(npus, models).0
-}
-
-/// [`evaluate_suites`], additionally reporting trace-cache statistics for
-/// the whole multi-NPU sweep — the counters `sweep_bench` records in
-/// `BENCH_sweep.json` to track the engine's reuse rate PR over PR.
-pub fn evaluate_suites_with_stats(
-    npus: &[NpuConfig],
-    models: &[Model],
-) -> (Vec<Evaluation>, SweepStats) {
-    let results = lineup_sweep(npus, models).run();
-    let evals = evaluations_of(&results);
-    (evals, results.stats)
-}
-
-/// [`evaluate_suites`] with a per-NPU DRAM configuration override — the
-/// full lineup evaluated on a perturbed memory system. The golden-figure
-/// sensitivity self-tests use this to show that a one-cycle DRAM timing
-/// change is visible in the pinned Fig. 5/6 aggregates.
-pub fn evaluate_suites_dram_mapped(
-    npus: &[NpuConfig],
-    models: &[Model],
-    map: impl Fn(&NpuConfig) -> DramConfig + Send + Sync + 'static,
-) -> Vec<Evaluation> {
-    let results = lineup_sweep(npus, models).dram_map(map).run();
-    evaluations_of(&results)
+/// All points share one thread pool and one trace cache: each (NPU,
+/// model) trace is simulated exactly once and shared across the six
+/// schemes, and results come back in deterministic lineup order. Add
+/// [`Sweep::dram_map`] or other options before [`Sweep::run`], and pass
+/// the results to [`evaluations_of`].
+pub fn lineup(npus: &[NpuConfig], models: &[Model]) -> Sweep {
+    Sweep::new()
+        .npus(npus.iter().cloned())
+        .models(models.iter().cloned())
+        .schemes(scheme_names())
 }
 
 /// Normalizes a completed [`SweepResults`] into one [`Evaluation`] per
 /// NPU, taking all labels from the sweep itself.
 ///
-/// This is the generic form behind [`evaluate_suites`]: it works for any
-/// scheme set (the declarative scenario engine routes custom lineups and
-/// cache-varied schemes through it), with the sweep's **first scheme** as
-/// the normalization baseline. For the standard lineup the output is
-/// bit-identical to [`evaluate_suites`].
+/// It works for any scheme set — the [`lineup`] sweep, or the custom
+/// lineups and cache-varied schemes of the declarative scenario engine —
+/// with the sweep's **first scheme** as the normalization baseline.
 ///
 /// # Panics
 ///
-/// Panics if the sweep has a failed point or an empty scheme axis; check
-/// [`SweepResults::failures`] first for fault-tolerant handling.
+/// Panics if the sweep has a failed point or an empty scheme axis; use
+/// [`partial_evaluations_of`] for fault-tolerant handling.
 pub fn evaluations_of(results: &SweepResults) -> Vec<Evaluation> {
-    let (n_npus, _, _) = results.shape();
-    (0..n_npus).map(|ni| evaluation_of(results, ni)).collect()
+    if let Some((_, _, _, e)) = results.failures().next() {
+        panic!("sweep point failed: {e}");
+    }
+    partial_evaluations_of(results)
 }
 
 /// Like [`evaluations_of`], but tolerant of failed points: a workload is
@@ -160,13 +134,6 @@ pub fn partial_evaluations_of(results: &SweepResults) -> Vec<Evaluation> {
                 .collect(),
         })
         .collect()
-}
-
-fn lineup_sweep(npus: &[NpuConfig], models: &[Model]) -> Sweep {
-    Sweep::new()
-        .npus(npus.iter().cloned())
-        .models(models.iter().cloned())
-        .schemes(scheme_names())
 }
 
 fn workload_eval(results: &SweepResults, ni: usize, mi: usize) -> WorkloadEval {
@@ -190,30 +157,14 @@ fn workload_eval(results: &SweepResults, ni: usize, mi: usize) -> WorkloadEval {
     }
 }
 
-fn evaluation_of(results: &SweepResults, ni: usize) -> Evaluation {
-    let (_, n_models, n_schemes) = results.shape();
-    assert!(n_schemes > 0, "an evaluation needs at least one scheme");
-    Evaluation {
-        npu: results.npu_labels()[ni].clone(),
-        workloads: (0..n_models)
-            .map(|mi| workload_eval(results, ni, mi))
-            .collect(),
-    }
-}
-
-/// Evaluates the paper's full 13-workload suite on `npu` (Figs. 5-6).
-pub fn evaluate_paper_suite(npu: &NpuConfig) -> Evaluation {
-    evaluate(npu, &zoo::all_models())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use seda_models::zoo;
 
     #[test]
     fn partial_evaluations_drop_only_the_poisoned_workloads() {
         use crate::resilience::PointContext;
-        use crate::sweep::Sweep;
         use std::sync::Arc;
         // Fail exactly LeNet's SeDA point: LeNet loses its scheme row
         // and drops out of the means; DLRM survives untouched.
@@ -261,8 +212,8 @@ mod tests {
     fn small_suite_orders_schemes_correctly() {
         // LeNet + DLRM keep the test fast while exercising conv and GEMM.
         let models = vec![zoo::lenet(), zoo::dlrm()];
-        let eval = evaluate(&NpuConfig::edge(), &models);
-        for w in &eval.workloads {
+        let evals = evaluations_of(&lineup(&[NpuConfig::edge()], &models).run());
+        for w in &evals[0].workloads {
             let get = |name: &str| {
                 w.outcomes
                     .iter()
@@ -279,9 +230,9 @@ mod tests {
 
     #[test]
     fn means_cover_all_schemes() {
-        let eval = evaluate(&NpuConfig::edge(), &[zoo::lenet()]);
-        assert_eq!(eval.mean_traffic().len(), 6);
-        assert_eq!(eval.mean_perf().len(), 6);
+        let evals = evaluations_of(&lineup(&[NpuConfig::edge()], &[zoo::lenet()]).run());
+        assert_eq!(evals[0].mean_traffic().len(), 6);
+        assert_eq!(evals[0].mean_perf().len(), 6);
     }
 
     #[test]
@@ -289,7 +240,7 @@ mod tests {
         // The Fig. 5/6 path must run tiling + burst generation once per
         // distinct (NPU, model) pair, not once per scheme.
         let models = vec![zoo::lenet(), zoo::dlrm()];
-        let stats = lineup_sweep(&[NpuConfig::edge()], &models).run().stats;
+        let stats = lineup(&[NpuConfig::edge()], &models).run().stats;
         assert_eq!(stats.trace_misses, models.len() as u64);
         assert_eq!(
             stats.trace_hits,

@@ -15,8 +15,9 @@
 //! * **Evaluation pipeline** — [`pipeline`] runs a workload through the
 //!   SCALE-Sim-style accelerator model ([`seda_scalesim`]), a protection
 //!   scheme ([`seda_protect`]), and the DRAM timing simulator
-//!   ([`seda_dram`]); [`experiment`] sweeps the paper's 13 workloads ×
-//!   5 schemes × 2 NPUs and [`report`] renders every table and figure.
+//!   ([`seda_dram`]); [`experiment::lineup`] sweeps the paper's 13
+//!   workloads × 6 schemes (the baseline and five protection schemes) ×
+//!   2 NPUs and [`report`] renders every table and figure.
 //!
 //! # Examples
 //!
@@ -33,7 +34,7 @@
 //! let slowdown = seda.total_cycles as f64 / base.total_cycles as f64;
 //! // LeNet is degenerately small (a whole inference is ~20k cycles), so a
 //! // single extra metadata line is visible; on the paper's suite SeDA's
-//! // slowdown is <1%. See `experiment::evaluate_paper_suite`.
+//! // slowdown is <1%. See `experiment::lineup`.
 //! assert!(slowdown < 1.15);
 //! ```
 
@@ -52,10 +53,7 @@ pub mod scenario;
 pub mod sweep;
 
 pub use error::SedaError;
-pub use experiment::{
-    evaluate, evaluate_paper_suite, evaluate_suites, evaluate_suites_dram_mapped, evaluations_of,
-    partial_evaluations_of, Evaluation,
-};
+pub use experiment::{evaluations_of, lineup, partial_evaluations_of, Evaluation};
 pub use functional::{run_protected, run_reference, IntegrityViolation, SecureMemory};
 pub use pipeline::{dram_config_for, run_model, run_trace, try_run_trace, LoweredTrace, RunResult};
 pub use resilience::{

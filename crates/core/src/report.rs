@@ -161,7 +161,7 @@ fn figure(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::evaluate;
+    use crate::experiment::{evaluations_of, lineup};
     use seda_models::zoo;
     use seda_protect::paper_lineup;
 
@@ -179,11 +179,11 @@ mod tests {
 
     #[test]
     fn figure_tables_include_average() {
-        let eval = evaluate(&NpuConfig::edge(), &[zoo::lenet()]);
-        let f5 = figure5(&eval);
+        let eval = &evaluations_of(&lineup(&[NpuConfig::edge()], &[zoo::lenet()]).run())[0];
+        let f5 = figure5(eval);
         assert!(f5.contains("avg"));
         assert!(f5.contains("let"));
-        let f6 = figure6(&eval);
+        let f6 = figure6(eval);
         assert!(f6.contains("baseline"));
     }
 }

@@ -190,10 +190,16 @@ pub struct PointContext {
     pub scheme: String,
 }
 
+/// The `npu/model/scheme` label of one sweep point, used in errors and
+/// reports.
+pub(crate) fn point_label(npu: &str, model: &str, scheme: &str) -> String {
+    format!("{npu}/{model}/{scheme}")
+}
+
 impl PointContext {
     /// `npu/model/scheme` label used in errors and reports.
     pub fn label(&self) -> String {
-        format!("{}/{}/{}", self.npu, self.model, self.scheme)
+        point_label(&self.npu, &self.model, &self.scheme)
     }
 }
 
@@ -263,7 +269,7 @@ pub struct PointFailure {
 impl PointFailure {
     /// `npu/model/scheme` label of the failed point.
     pub fn label(&self) -> String {
-        format!("{}/{}/{}", self.npu, self.model, self.scheme)
+        point_label(&self.npu, &self.model, &self.scheme)
     }
 }
 

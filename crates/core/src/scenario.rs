@@ -521,8 +521,10 @@ pub struct DramOverride {
     pub t_rfc: Option<u64>,
 }
 
-// Hand-written so absent overrides serialize as absent fields rather
-// than 14 explicit nulls (the derive writes every `Option` as `null`).
+// The one list of override fields, expanded by `Serialize`, `Deserialize`
+// and `apply`. Serialization is hand-written so absent overrides
+// serialize as absent fields rather than 14 explicit nulls (the derive
+// writes every `Option` as `null`).
 macro_rules! dram_override_fields {
     ($macro_cb:ident) => {
         $macro_cb!(
@@ -566,48 +568,15 @@ impl Deserialize for DramOverride {
 impl DramOverride {
     /// Applies the overrides to a base configuration.
     pub fn apply(&self, mut cfg: DramConfig) -> DramConfig {
-        if let Some(v) = self.channels {
-            cfg.channels = v;
+        // Each override field has the name of the `DramConfig` field it sets.
+        macro_rules! set {
+            ($($field:ident),*) => {$(
+                if let Some(v) = self.$field {
+                    cfg.$field = v;
+                }
+            )*};
         }
-        if let Some(v) = self.ranks {
-            cfg.ranks = v;
-        }
-        if let Some(v) = self.banks {
-            cfg.banks = v;
-        }
-        if let Some(v) = self.row_bytes {
-            cfg.row_bytes = v;
-        }
-        if let Some(v) = self.clock_hz {
-            cfg.clock_hz = v;
-        }
-        if let Some(v) = self.t_rcd {
-            cfg.t_rcd = v;
-        }
-        if let Some(v) = self.t_rp {
-            cfg.t_rp = v;
-        }
-        if let Some(v) = self.t_cl {
-            cfg.t_cl = v;
-        }
-        if let Some(v) = self.t_cwl {
-            cfg.t_cwl = v;
-        }
-        if let Some(v) = self.t_ras {
-            cfg.t_ras = v;
-        }
-        if let Some(v) = self.t_bl {
-            cfg.t_bl = v;
-        }
-        if let Some(v) = self.t_wr {
-            cfg.t_wr = v;
-        }
-        if let Some(v) = self.t_refi {
-            cfg.t_refi = v;
-        }
-        if let Some(v) = self.t_rfc {
-            cfg.t_rfc = v;
-        }
+        dram_override_fields!(set);
         cfg
     }
 
@@ -2311,6 +2280,56 @@ mod tests {
             a.evaluations[0].workloads[0].outcomes[0].run.total_cycles,
             b.evaluations[0].workloads[0].outcomes[0].run.total_cycles,
             "a one-cycle burst-length override must be visible"
+        );
+    }
+
+    #[test]
+    fn dram_override_applies_every_field_and_keeps_absent_ones() {
+        let base = dram_config_for(&NpuConfig::edge());
+        let all = DramOverride {
+            channels: Some(1001),
+            ranks: Some(1002),
+            banks: Some(1003),
+            row_bytes: Some(1004),
+            clock_hz: Some(1005.5),
+            t_rcd: Some(1006),
+            t_rp: Some(1007),
+            t_cl: Some(1008),
+            t_cwl: Some(1009),
+            t_ras: Some(1010),
+            t_bl: Some(1011),
+            t_wr: Some(1012),
+            t_refi: Some(1013),
+            t_rfc: Some(1014),
+        };
+        let expected = DramConfig {
+            channels: 1001,
+            ranks: 1002,
+            banks: 1003,
+            row_bytes: 1004,
+            clock_hz: 1005.5,
+            t_rcd: 1006,
+            t_rp: 1007,
+            t_cl: 1008,
+            t_cwl: 1009,
+            t_ras: 1010,
+            t_bl: 1011,
+            t_wr: 1012,
+            t_refi: 1013,
+            t_rfc: 1014,
+        };
+        assert_eq!(all.apply(base.clone()), expected);
+        assert_eq!(DramOverride::default().apply(base.clone()), base);
+        let one = DramOverride {
+            t_cwl: Some(1009),
+            ..DramOverride::default()
+        };
+        assert_eq!(
+            one.apply(base.clone()),
+            DramConfig {
+                t_cwl: 1009,
+                ..base
+            }
         );
     }
 

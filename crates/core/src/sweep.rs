@@ -38,8 +38,8 @@
 use crate::error::SedaError;
 use crate::pipeline::{dram_config_for, try_run_trace, RunResult};
 use crate::resilience::{
-    AttemptRecord, FailurePolicy, FailureReport, FaultHook, PointContext, PointFailure,
-    PointReport, PointSink,
+    point_label, AttemptRecord, FailurePolicy, FailureReport, FaultHook, PointContext,
+    PointFailure, PointReport, PointSink,
 };
 use seda_dram::DramConfig;
 use seda_models::Model;
@@ -71,6 +71,16 @@ fn panic_to_error(point: String, payload: Box<dyn std::any::Any + Send>) -> Seda
         .or_else(|| payload.downcast_ref::<String>().cloned())
         .unwrap_or_else(|| "non-string panic payload".to_owned());
     SedaError::PointPanicked { point, message }
+}
+
+/// Splits a flat point index into its `(npu, model, scheme)` indices in
+/// the npu-major → model → scheme cross-product order.
+fn split_index(idx: usize, models: usize, schemes: usize) -> (usize, usize, usize) {
+    (
+        idx / (models * schemes),
+        (idx / schemes) % models,
+        idx % schemes,
+    )
 }
 
 /// Trace-cache statistics for one sweep execution.
@@ -122,6 +132,12 @@ impl SweepResults {
         (npu * self.models.len() + model) * self.schemes.len() + scheme
     }
 
+    /// `(npu, model, scheme)` labels of the point at flat index `idx`.
+    fn labels(&self, idx: usize) -> (&str, &str, &str) {
+        let (n, m, s) = split_index(idx, self.models.len(), self.schemes.len());
+        (&self.npus[n], &self.models[m], &self.schemes[s])
+    }
+
     /// The completed run (including the final metadata drain) at a point.
     /// With `repeats = 1` — the default — this is the point's only run.
     ///
@@ -170,15 +186,9 @@ impl SweepResults {
     /// Empty for an all-green sweep.
     pub fn failures(&self) -> impl Iterator<Item = (&str, &str, &str, &SedaError)> {
         self.points.iter().enumerate().filter_map(move |(i, p)| {
-            let s = self.schemes.len();
-            let m = self.models.len();
             p.as_ref().err().map(|e| {
-                (
-                    self.npus[i / (s * m)].as_str(),
-                    self.models[(i / s) % m].as_str(),
-                    self.schemes[i % s].as_str(),
-                    e,
-                )
+                let (npu, model, scheme) = self.labels(i);
+                (npu, model, scheme, e)
             })
         })
     }
@@ -191,18 +201,12 @@ impl SweepResults {
     /// use [`failures`](Self::failures) plus [`outcome`](Self::outcome).
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str, &str, &[RunResult])> {
         self.points.iter().enumerate().map(move |(i, point)| {
-            let s = self.schemes.len();
-            let m = self.models.len();
             let runs = match point {
                 Ok(runs) => runs.as_slice(),
                 Err(e) => panic!("sweep point failed: {e}"),
             };
-            (
-                self.npus[i / (s * m)].as_str(),
-                self.models[(i / s) % m].as_str(),
-                self.schemes[i % s].as_str(),
-                runs,
-            )
+            let (npu, model, scheme) = self.labels(i);
+            (npu, model, scheme, runs)
         })
     }
 
@@ -226,20 +230,21 @@ impl SweepResults {
     /// Structured digest of every failed point (labels, attempts, final
     /// error), in deterministic order. Empty for an all-green sweep.
     pub fn failure_report(&self) -> FailureReport {
-        let s = self.schemes.len();
-        let m = self.models.len();
         FailureReport {
             failures: self
                 .points
                 .iter()
                 .enumerate()
                 .filter_map(|(i, p)| {
-                    p.as_ref().err().map(|e| PointFailure {
-                        npu: self.npus[i / (s * m)].clone(),
-                        model: self.models[(i / s) % m].clone(),
-                        scheme: self.schemes[i % s].clone(),
-                        attempts: self.reports[i].attempts_made(),
-                        error: e.clone(),
+                    p.as_ref().err().map(|e| {
+                        let (npu, model, scheme) = self.labels(i);
+                        PointFailure {
+                            npu: npu.to_owned(),
+                            model: model.to_owned(),
+                            scheme: scheme.to_owned(),
+                            attempts: self.reports[i].attempts_made(),
+                            error: e.clone(),
+                        }
                     })
                 })
                 .collect(),
@@ -404,27 +409,10 @@ impl Sweep {
     /// Defaults to the machine's available parallelism.
     ///
     /// `0` is clamped to `1` (serial): a thread cap of zero can only mean
-    /// "as serial as possible", and the former `assert!` here was the one
-    /// panic left in an otherwise typed-error builder pipeline. Callers
-    /// that want a zero cap rejected loudly use [`Sweep::try_threads`].
+    /// "as serial as possible".
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = Some(n.max(1));
         self
-    }
-
-    /// Fallible form of [`Sweep::threads`]: rejects a zero thread cap
-    /// with a typed error instead of clamping.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SedaError::InvalidSpec`] when `n == 0`.
-    pub fn try_threads(self, n: usize) -> Result<Self, SedaError> {
-        if n == 0 {
-            return Err(SedaError::InvalidSpec {
-                reason: "need at least one sweep worker thread (threads == 0)".to_owned(),
-            });
-        }
-        Ok(self.threads(n))
     }
 
     /// Forces serial in-order execution on the calling thread.
@@ -502,207 +490,10 @@ impl Sweep {
         self.npus.len() * self.models.len() * self.schemes.len()
     }
 
-    /// `npu/model/scheme` label of the point at flat index `idx`.
-    fn point_label(&self, idx: usize) -> String {
-        let s = self.schemes.len();
-        let m = self.models.len();
-        format!(
-            "{}/{}/{}",
-            self.npus[idx / (s * m)].name,
-            self.models[(idx / s) % m].name(),
-            self.schemes[idx % s].label
-        )
-    }
-
-    fn point_context(&self, idx: usize, attempt: u32) -> PointContext {
-        let s = self.schemes.len();
-        let m = self.models.len();
-        PointContext {
-            index: idx,
-            attempt,
-            npu: self.npus[idx / (s * m)].name.clone(),
-            model: self.models[(idx / s) % m].name().to_owned(),
-            scheme: self.schemes[idx % s].label.clone(),
-        }
-    }
-
-    /// Runs one point under the active [`FailurePolicy`]: up to
-    /// `max_attempts` attempts, each individually panic-isolated and
-    /// (when a budget is set) watchdog-bounded, with the deterministic
-    /// backoff account recorded between failed attempts.
-    fn run_point(
-        &self,
-        idx: usize,
-        cache: &TraceCache,
-    ) -> (Result<Vec<RunResult>, SedaError>, PointReport) {
-        let max = self.policy.max_attempts();
-        let mut report = PointReport::default();
-        let mut last_err: Option<SedaError> = None;
-        for attempt in 1..=max {
-            let _span = seda_telemetry::Span::start("sweep.point_ns");
-            let started = Instant::now();
-            let outcome = self.run_attempt(idx, attempt, cache);
-            seda_telemetry::record("sweep.attempt_ms", started.elapsed().as_millis() as u64);
-            match outcome {
-                Ok(runs) => {
-                    report.attempts.push(AttemptRecord {
-                        attempt,
-                        error: None,
-                        backoff_ms: 0,
-                    });
-                    seda_telemetry::counter_add("sweep.points.ok", 1);
-                    return (Ok(runs), report);
-                }
-                Err(e) => {
-                    if matches!(e, SedaError::PointTimedOut { .. }) {
-                        seda_telemetry::counter_add("sweep.points.timed_out", 1);
-                    }
-                    report.attempts.push(AttemptRecord {
-                        attempt,
-                        error: Some(e.to_string()),
-                        backoff_ms: self.policy.backoff_ms(attempt),
-                    });
-                    if attempt < max {
-                        seda_telemetry::counter_add("sweep.points.retried", 1);
-                    }
-                    last_err = Some(e);
-                }
-            }
-        }
-        seda_telemetry::counter_add("sweep.points.failed", 1);
-        // Invariant: `max >= 1`, so the loop recorded at least one error.
-        #[allow(clippy::expect_used)]
-        let err = last_err.expect("at least one attempt executed");
-        (Err(err), report)
-    }
-
-    fn run_attempt(
-        &self,
-        idx: usize,
-        attempt: u32,
-        cache: &TraceCache,
-    ) -> Result<Vec<RunResult>, SedaError> {
-        match self.point_budget_ms {
-            Some(budget_ms) => self.run_attempt_watchdog(idx, attempt, budget_ms, cache),
-            None => self.run_attempt_inline(idx, attempt, cache),
-        }
-    }
-
-    /// Unbudgeted attempt on the calling thread.
-    ///
-    /// Fault isolation: a panic anywhere inside one attempt — a buggy
-    /// scheme factory, a scheme transform, the kernel itself, an injected
-    /// chaos fault — is contained to that attempt and surfaces as a typed
-    /// error; every other point still completes. The closure only touches
-    /// the immutable trace cache and per-point scheme state, so resuming
-    /// after an unwind cannot observe a broken invariant.
-    fn run_attempt_inline(
-        &self,
-        idx: usize,
-        attempt: u32,
-        cache: &TraceCache,
-    ) -> Result<Vec<RunResult>, SedaError> {
-        let s = self.schemes.len();
-        let m = self.models.len();
-        let npu = &self.npus[idx / (s * m)];
-        let model = &self.models[(idx / s) % m];
-        catch_unwind(AssertUnwindSafe(|| {
-            if let Some(hook) = &self.fault_hook {
-                hook(&self.point_context(idx, attempt))?;
-            }
-            let sim = cache.get_or_simulate(npu, model);
-            let mut scheme = (self.schemes[idx % s].build)();
-            let dram_cfg = match &self.dram_map {
-                Some(map) => map(npu),
-                None => dram_config_for(npu),
-            };
-            try_run_trace(
-                &sim,
-                npu,
-                scheme.as_mut(),
-                self.verifier.as_ref(),
-                self.repeats,
-                dram_cfg,
-            )
-        }))
-        .unwrap_or_else(|payload| Err(panic_to_error(self.point_label(idx), payload)))
-    }
-
-    /// Budgeted attempt on a detached watchdog thread. The trace is
-    /// fetched (and cached) on the calling thread first — simulation is
-    /// deterministic and shared across schemes, so it is not what a
-    /// watchdog is for — then the scheme + replay kernel runs on a
-    /// worker the watchdog can abandon if it exceeds the budget.
-    fn run_attempt_watchdog(
-        &self,
-        idx: usize,
-        attempt: u32,
-        budget_ms: u64,
-        cache: &TraceCache,
-    ) -> Result<Vec<RunResult>, SedaError> {
-        let s = self.schemes.len();
-        let m = self.models.len();
-        let npu = &self.npus[idx / (s * m)];
-        let model = &self.models[(idx / s) % m];
-        let point = self.point_label(idx);
-
-        // Everything the detached worker needs, prepared under the same
-        // panic isolation the inline path has.
-        let prep = catch_unwind(AssertUnwindSafe(|| {
-            let sim = cache.get_or_simulate(npu, model);
-            let dram_cfg = match &self.dram_map {
-                Some(map) => map(npu),
-                None => dram_config_for(npu),
-            };
-            (sim, dram_cfg)
-        }));
-        let (sim, dram_cfg) = match prep {
-            Ok(prepared) => prepared,
-            Err(payload) => return Err(panic_to_error(point, payload)),
-        };
-
-        let build = Arc::clone(&self.schemes[idx % s].build);
-        let hook = self.fault_hook.clone();
-        let ctx = self.point_context(idx, attempt);
-        let verifier = self.verifier;
-        let repeats = self.repeats;
-        let npu = npu.clone();
-        let worker_point = point.clone();
-        let (tx, rx) = mpsc::sync_channel(1);
-        let spawned = std::thread::Builder::new()
-            .name(format!("seda-watchdog-{idx}-a{attempt}"))
-            .spawn(move || {
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    if let Some(hook) = &hook {
-                        hook(&ctx)?;
-                    }
-                    let mut scheme = build();
-                    try_run_trace(
-                        &sim,
-                        &npu,
-                        scheme.as_mut(),
-                        verifier.as_ref(),
-                        repeats,
-                        dram_cfg,
-                    )
-                }))
-                .unwrap_or_else(|payload| Err(panic_to_error(worker_point, payload)));
-                // The watchdog may have given up on us; a dead receiver
-                // is fine — the result is simply discarded.
-                let _ = tx.send(outcome);
-            });
-        match spawned {
-            Err(e) => Err(SedaError::InvalidSpec {
-                reason: format!("cannot spawn watchdog worker for {point}: {e}"),
-            }),
-            // Dropping the JoinHandle detaches the worker: on timeout it
-            // keeps running (and leaks until it finishes on its own), but
-            // the sweep moves on — that is the watchdog contract.
-            Ok(_detached) => match rx.recv_timeout(Duration::from_millis(budget_ms)) {
-                Ok(outcome) => outcome,
-                Err(_) => Err(SedaError::PointTimedOut { point, budget_ms }),
-            },
-        }
+    /// The NPU, model and scheme of the point at flat index `idx`.
+    fn point(&self, idx: usize) -> (&NpuConfig, &Model, &SchemeSpec) {
+        let (n, m, s) = split_index(idx, self.models.len(), self.schemes.len());
+        (&self.npus[n], &self.models[m], &self.schemes[s])
     }
 
     /// Executes the sweep with a private trace cache.
@@ -711,8 +502,25 @@ impl Sweep {
     }
 
     /// Executes one point end to end under the resilience machinery:
-    /// checkpoint replay, fail-fast cancellation, the retry loop, and
-    /// journal streaming.
+    /// checkpoint replay, fail-fast cancellation, up to `max_attempts`
+    /// attempts under the active [`FailurePolicy`] (with the
+    /// deterministic backoff account recorded between failed attempts),
+    /// and journal streaming.
+    ///
+    /// Every attempt has one body in two steps. The trace and the DRAM
+    /// configuration are fetched on the calling thread: simulation is
+    /// deterministic and shared across schemes, so it is not what a
+    /// watchdog is for. The fault hook, the scheme build and the kernel
+    /// then run on the calling thread or, when a
+    /// [`point_budget_ms`](Self::point_budget_ms) is set, on a detached
+    /// watchdog thread the sweep abandons once the budget runs out.
+    ///
+    /// Fault isolation: a panic anywhere inside one attempt — a buggy
+    /// scheme factory, a scheme transform, the kernel itself, an injected
+    /// chaos fault — is contained to that attempt and surfaces as a typed
+    /// error; every other point still completes. Both steps only touch
+    /// the immutable trace cache and per-point scheme state, so resuming
+    /// after an unwind cannot observe a broken invariant.
     fn execute_point(
         &self,
         idx: usize,
@@ -730,12 +538,12 @@ impl Sweep {
                 },
             );
         }
+        let (npu, model, spec) = self.point(idx);
+        let label = || point_label(&npu.name, model.name(), &spec.label);
         if self.policy == FailurePolicy::FailFast && aborted.load(Ordering::SeqCst) {
             seda_telemetry::counter_add("sweep.points.cancelled", 1);
             return (
-                Err(SedaError::PointCancelled {
-                    point: self.point_label(idx),
-                }),
+                Err(SedaError::PointCancelled { point: label() }),
                 PointReport {
                     attempts: Vec::new(),
                     resumed: false,
@@ -743,14 +551,107 @@ impl Sweep {
                 },
             );
         }
-        let (outcome, report) = self.run_point(idx, cache);
+
+        let attempt_once = |attempt: u32| -> Result<Vec<RunResult>, SedaError> {
+            let (sim, dram_cfg) = catch_unwind(AssertUnwindSafe(|| {
+                let sim = cache.get_or_simulate(npu, model);
+                let dram_cfg = match &self.dram_map {
+                    Some(map) => map(npu),
+                    None => dram_config_for(npu),
+                };
+                (sim, dram_cfg)
+            }))
+            .map_err(|payload| panic_to_error(label(), payload))?;
+            let ctx = PointContext {
+                index: idx,
+                attempt,
+                npu: npu.name.clone(),
+                model: model.name().to_owned(),
+                scheme: spec.label.clone(),
+            };
+            let hook = self.fault_hook.clone();
+            let build = Arc::clone(&spec.build);
+            let (verifier, repeats, npu) = (self.verifier, self.repeats, npu.clone());
+            let run = move || {
+                catch_unwind(AssertUnwindSafe(|| {
+                    if let Some(hook) = &hook {
+                        hook(&ctx)?;
+                    }
+                    let mut scheme = build();
+                    try_run_trace(
+                        &sim,
+                        &npu,
+                        scheme.as_mut(),
+                        verifier.as_ref(),
+                        repeats,
+                        dram_cfg,
+                    )
+                }))
+                .unwrap_or_else(|payload| Err(panic_to_error(ctx.label(), payload)))
+            };
+            let Some(budget_ms) = self.point_budget_ms else {
+                return run();
+            };
+            let (tx, rx) = mpsc::sync_channel(1);
+            let spawned = std::thread::Builder::new()
+                .name(format!("seda-watchdog-{idx}-a{attempt}"))
+                .spawn(move || {
+                    // The watchdog may have given up on us; a dead
+                    // receiver is fine — the result is simply discarded.
+                    let _ = tx.send(run());
+                });
+            match spawned {
+                Err(e) => Err(SedaError::InvalidSpec {
+                    reason: format!("cannot spawn watchdog worker for {}: {e}", label()),
+                }),
+                // Dropping the JoinHandle detaches the worker: on timeout it
+                // keeps running (and leaks until it finishes on its own), but
+                // the sweep moves on — that is the watchdog contract.
+                Ok(_detached) => rx
+                    .recv_timeout(Duration::from_millis(budget_ms))
+                    .unwrap_or_else(|_| {
+                        Err(SedaError::PointTimedOut {
+                            point: label(),
+                            budget_ms,
+                        })
+                    }),
+            }
+        };
+
+        let max = self.policy.max_attempts();
+        let mut report = PointReport::default();
+        let mut attempt = 0;
+        let outcome = loop {
+            attempt += 1;
+            let _span = seda_telemetry::Span::start("sweep.point_ns");
+            let started = Instant::now();
+            let outcome = attempt_once(attempt);
+            seda_telemetry::record("sweep.attempt_ms", started.elapsed().as_millis() as u64);
+            let error = outcome.as_ref().err();
+            if matches!(error, Some(SedaError::PointTimedOut { .. })) {
+                seda_telemetry::counter_add("sweep.points.timed_out", 1);
+            }
+            report.attempts.push(AttemptRecord {
+                attempt,
+                error: error.map(ToString::to_string),
+                backoff_ms: error.map_or(0, |_| self.policy.backoff_ms(attempt)),
+            });
+            if outcome.is_ok() || attempt == max {
+                break outcome;
+            }
+            seda_telemetry::counter_add("sweep.points.retried", 1);
+        };
         match &outcome {
             Ok(runs) => {
+                seda_telemetry::counter_add("sweep.points.ok", 1);
                 if let Some(sink) = &self.stream_to {
                     sink(idx, runs);
                 }
             }
-            Err(_) => aborted.store(true, Ordering::SeqCst),
+            Err(_) => {
+                seda_telemetry::counter_add("sweep.points.failed", 1);
+                aborted.store(true, Ordering::SeqCst);
+            }
         }
         (outcome, report)
     }
@@ -793,30 +694,34 @@ impl Sweep {
         // execution.
         let aborted = AtomicBool::new(false);
 
-        if threads <= 1 {
-            for (idx, slot) in slots.iter_mut().enumerate() {
-                *slot = Some(self.execute_point(idx, cache, &aborted));
-            }
-        } else {
+        {
+            // The one worker loop: claim the next unexecuted index until
+            // none is left. One worker runs on the calling thread, so a
+            // serial sweep executes in index order; more are scoped threads.
             let next = AtomicUsize::new(0);
             let out = Mutex::new(&mut slots);
-            std::thread::scope(|scope| {
-                for _ in 0..threads {
-                    scope.spawn(|| loop {
-                        let idx = next.fetch_add(1, Ordering::Relaxed);
-                        if idx >= total {
-                            break;
-                        }
-                        let point = self.execute_point(idx, cache, &aborted);
-                        // Invariant: workers never panic while holding the
-                        // lock (execute_point catches unwinds), so the
-                        // mutex cannot be poisoned.
-                        #[allow(clippy::expect_used)]
-                        let mut guard = out.lock().expect("sweep results poisoned");
-                        guard[idx] = Some(point);
-                    });
+            let worker = || loop {
+                let idx = next.fetch_add(1, Ordering::Relaxed);
+                if idx >= total {
+                    break;
                 }
-            });
+                let point = self.execute_point(idx, cache, &aborted);
+                // Invariant: workers never panic while holding the lock
+                // (execute_point catches unwinds), so the mutex cannot be
+                // poisoned.
+                #[allow(clippy::expect_used)]
+                let mut guard = out.lock().expect("sweep results poisoned");
+                guard[idx] = Some(point);
+            };
+            if threads == 1 {
+                worker();
+            } else {
+                std::thread::scope(|scope| {
+                    for _ in 0..threads {
+                        scope.spawn(worker);
+                    }
+                });
+            }
         }
 
         let mut points = Vec::with_capacity(total);
@@ -986,18 +891,6 @@ mod tests {
             zero.at(0, 0, 0).total_cycles,
             serial.at(0, 0, 0).total_cycles
         );
-    }
-
-    #[test]
-    fn try_threads_rejects_zero_with_a_typed_error() {
-        let err = Sweep::new()
-            .try_threads(0)
-            .map(|_| ())
-            .expect_err("zero worker threads is malformed");
-        assert!(matches!(err, SedaError::InvalidSpec { .. }));
-        assert!(err.to_string().contains("thread"), "{err}");
-        let ok = Sweep::new().try_threads(3).expect("positive cap is fine");
-        assert_eq!(ok.threads, Some(3));
     }
 
     #[test]

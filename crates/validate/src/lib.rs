@@ -24,11 +24,11 @@
 //! * [`dram`] — DRAM timing invariants (monotone channel clocks, burst
 //!   length from config, refresh-window exclusion, achieved bandwidth at
 //!   or below peak) over randomized request streams.
-//! * [`dram_batch`] — the batched replay kernel (`DramSim::run_batch`)
-//!   against the exact per-access kernel: bit-identical stats, elapsed
-//!   clock, bank occupancy, and telemetry snapshots over streaming,
-//!   row-thrash, refresh-straddling, channel-interleaved, and random
-//!   streams.
+//! * [`dram_batch`] — the batched replay kernels (`DramSim::run_batch`,
+//!   `run_batch_packed` and `run_runs`) against the exact per-access
+//!   kernel: bit-identical stats, elapsed clock, bank occupancy, and
+//!   telemetry snapshots over streaming, row-thrash, refresh-straddling,
+//!   channel-interleaved, and random streams.
 //! * [`runs`] — run-encoded lowering and replay against the per-line
 //!   view: random bursts through every scheme kind (random granularities
 //!   and metadata-cache sizes) give canonical runs that expand to
@@ -318,6 +318,54 @@ mod tests {
             assert_eq!(Family::parse(f.name()), Some(f));
         }
         assert_eq!(Family::parse("nope"), None);
+    }
+
+    /// The English count word `DESIGN.md` and the crate doc use for the
+    /// number of families, capitalized.
+    fn count_word(n: usize) -> &'static str {
+        "Zero One Two Three Four Five Six Seven Eight Nine Ten Eleven Twelve Thirteen \
+         Fourteen Fifteen Sixteen Seventeen Eighteen Nineteen Twenty"
+            .split(' ')
+            .nth(n)
+            .expect("a count word up to twenty")
+    }
+
+    #[test]
+    fn documented_families_match_the_code() {
+        let names: Vec<&str> = Family::all().iter().map(|f| f.name()).collect();
+        let counted = format!("{} families:", count_word(names.len()));
+
+        // DESIGN.md's `## Validation` section: one `* **name**` bullet
+        // per family, in `Family::all()` order, under the count word.
+        let design = include_str!("../../../DESIGN.md");
+        let section = design
+            .split("\n## Validation\n")
+            .nth(1)
+            .and_then(|rest| rest.split("\n## ").next())
+            .expect("DESIGN.md has a `## Validation` section");
+        let bullets: Vec<&str> = section
+            .lines()
+            .filter_map(|l| l.strip_prefix("* **")?.split("**").next())
+            .collect();
+        assert_eq!(bullets, names, "DESIGN.md `## Validation` bullets");
+        assert!(section.contains(&counted), "DESIGN.md must say {counted:?}");
+
+        // This crate's doc: one `* [`module`]` bullet per family.
+        let crate_doc: String = include_str!("lib.rs")
+            .lines()
+            .filter_map(|l| l.strip_prefix("//!"))
+            .collect::<Vec<_>>()
+            .join("\n");
+        let modules: Vec<String> = crate_doc
+            .lines()
+            .filter_map(|l| l.strip_prefix(" * [`")?.split('`').next())
+            .map(|m| m.replace('_', "-"))
+            .collect();
+        assert_eq!(modules, names, "crate doc family bullets");
+        assert!(
+            crate_doc.contains(&counted),
+            "crate doc must say {counted:?}"
+        );
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! UPDATE_GOLDEN=1 cargo test -p seda-integration-tests --test golden_figures
 //! ```
 
-use seda::experiment::{evaluate_suites, Evaluation};
+use seda::experiment::{evaluations_of, lineup, Evaluation};
 use seda::models::zoo;
 use seda::protect::paper_lineup;
 use seda::report::table3;
@@ -30,7 +30,7 @@ fn evaluations() -> &'static Vec<Evaluation> {
     EVALS.get_or_init(|| {
         let npus = [NpuConfig::server(), NpuConfig::edge()];
         let models = [zoo::lenet(), zoo::dlrm()];
-        evaluate_suites(&npus, &models)
+        evaluations_of(&lineup(&npus, &models).run())
     })
 }
 
@@ -68,7 +68,7 @@ fn fig6_with_dram_map(
 ) -> String {
     let npus = [NpuConfig::server(), NpuConfig::edge()];
     let models = [zoo::lenet(), zoo::dlrm()];
-    let evals = seda::experiment::evaluate_suites_dram_mapped(&npus, &models, map);
+    let evals = evaluations_of(&lineup(&npus, &models).dram_map(map).run());
     let fig = golden_figure_of(&evals, "fig6_normalized_runtime", Evaluation::mean_perf);
     serde_json::to_string_pretty(&fig).expect("golden figure serializes")
 }

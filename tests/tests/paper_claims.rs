@@ -2,7 +2,7 @@
 //! (the full 13-workload sweep lives in the fig5/fig6 binaries and
 //! EXPERIMENTS.md; these tests keep the claims from regressing).
 
-use seda::experiment::evaluate;
+use seda::experiment::{evaluations_of, lineup};
 use seda::hw::{baes_cost, taes_cost};
 use seda::scalesim::NpuConfig;
 use seda_models::zoo;
@@ -13,8 +13,8 @@ fn seda_overhead_is_near_zero_on_real_workloads() {
     // performance impact. LeNet is excluded: at ~20k total cycles it is
     // degenerately small and a single metadata line is visible.
     let models = vec![zoo::alexnet(), zoo::ncf()];
-    for npu in [NpuConfig::server(), NpuConfig::edge()] {
-        let eval = evaluate(&npu, &models);
+    let npus = [NpuConfig::server(), NpuConfig::edge()];
+    for eval in evaluations_of(&lineup(&npus, &models).run()) {
         for w in &eval.workloads {
             let seda = w
                 .outcomes
@@ -24,14 +24,14 @@ fn seda_overhead_is_near_zero_on_real_workloads() {
             assert!(
                 seda.traffic_norm < 1.01,
                 "{}/{}: SeDA traffic {}",
-                npu.name,
+                eval.npu,
                 w.workload,
                 seda.traffic_norm
             );
             assert!(
                 seda.perf_norm < 1.02,
                 "{}/{}: SeDA perf {}",
-                npu.name,
+                eval.npu,
                 w.workload,
                 seda.perf_norm
             );
@@ -43,14 +43,14 @@ fn seda_overhead_is_near_zero_on_real_workloads() {
 fn sgx64_overhead_is_around_thirty_percent() {
     // Claim (Fig. 5): SGX-64B adds ~30% (server) / ~28% (edge) traffic.
     let models = vec![zoo::alexnet(), zoo::ncf()];
-    for npu in [NpuConfig::server(), NpuConfig::edge()] {
-        let eval = evaluate(&npu, &models);
+    let npus = [NpuConfig::server(), NpuConfig::edge()];
+    for eval in evaluations_of(&lineup(&npus, &models).run()) {
         for (scheme, t) in eval.mean_traffic() {
             if scheme == "SGX-64B" {
                 assert!(
                     (1.24..1.40).contains(&t),
                     "{}: SGX-64B traffic {t}",
-                    npu.name
+                    eval.npu
                 );
             }
         }
@@ -61,7 +61,7 @@ fn sgx64_overhead_is_around_thirty_percent() {
 fn mgx64_overhead_is_around_one_eighth() {
     // Claim (Fig. 5): MGX-64B ≈ +12.5% — the 8 B-per-64 B MAC ratio.
     let models = vec![zoo::alexnet()];
-    let eval = evaluate(&NpuConfig::server(), &models);
+    let eval = &evaluations_of(&lineup(&[NpuConfig::server()], &models).run())[0];
     for (scheme, t) in eval.mean_traffic() {
         if scheme == "MGX-64B" {
             assert!((1.10..1.16).contains(&t), "MGX-64B traffic {t}");
@@ -72,14 +72,14 @@ fn mgx64_overhead_is_around_one_eighth() {
 #[test]
 fn scheme_ordering_matches_figure_5() {
     let models = vec![zoo::alexnet(), zoo::ncf()];
-    for npu in [NpuConfig::server(), NpuConfig::edge()] {
-        let eval = evaluate(&npu, &models);
+    let npus = [NpuConfig::server(), NpuConfig::edge()];
+    for eval in evaluations_of(&lineup(&npus, &models).run()) {
         let means: std::collections::HashMap<String, f64> =
             eval.mean_traffic().into_iter().collect();
-        assert!(means["SGX-64B"] > means["SGX-512B"], "{}", npu.name);
-        assert!(means["SGX-512B"] > means["MGX-512B"], "{}", npu.name);
-        assert!(means["MGX-64B"] > means["MGX-512B"], "{}", npu.name);
-        assert!(means["MGX-512B"] > means["SeDA"], "{}", npu.name);
+        assert!(means["SGX-64B"] > means["SGX-512B"], "{}", eval.npu);
+        assert!(means["SGX-512B"] > means["MGX-512B"], "{}", eval.npu);
+        assert!(means["MGX-64B"] > means["MGX-512B"], "{}", eval.npu);
+        assert!(means["MGX-512B"] > means["SeDA"], "{}", eval.npu);
     }
 }
 
@@ -88,7 +88,7 @@ fn performance_overheads_follow_traffic() {
     // Claim (Fig. 6): the performance ranking mirrors the traffic ranking,
     // with SeDA nearly indistinguishable from the baseline.
     let models = vec![zoo::alexnet(), zoo::ncf()];
-    let eval = evaluate(&NpuConfig::edge(), &models);
+    let eval = &evaluations_of(&lineup(&[NpuConfig::edge()], &models).run())[0];
     let means: std::collections::HashMap<String, f64> = eval.mean_perf().into_iter().collect();
     assert!(means["SGX-64B"] > means["MGX-64B"]);
     assert!(means["MGX-64B"] > means["MGX-512B"]);

@@ -3,7 +3,7 @@
 //! (`seda_cli scenario run <name> --journal <path>`), and the other types
 //! are the public serde surface of evaluations, models and traces.
 
-use seda::experiment::evaluate;
+use seda::experiment::{evaluations_of, lineup};
 use seda::pipeline::run_model;
 use seda_models::zoo;
 use seda_protect::Unprotected;
@@ -22,8 +22,8 @@ fn run_result_round_trips_through_json() {
 
 #[test]
 fn evaluation_round_trips_through_json() {
-    let eval = evaluate(&NpuConfig::edge(), &[zoo::lenet()]);
-    let json = serde_json::to_string(&eval).expect("serializes");
+    let eval = &evaluations_of(&lineup(&[NpuConfig::edge()], &[zoo::lenet()]).run())[0];
+    let json = serde_json::to_string(eval).expect("serializes");
     let back: seda::experiment::Evaluation = serde_json::from_str(&json).expect("deserializes");
     assert_eq!(back.npu, eval.npu);
     assert_eq!(back.workloads.len(), eval.workloads.len());
