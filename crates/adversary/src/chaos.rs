@@ -199,12 +199,15 @@ impl FaultPlan {
                 return Ok(());
             }
             match fault.kind {
-                FaultKind::Panic => panic!(
+                // `resume_unwind` unwinds without calling the panic hook,
+                // so a planned panic prints nothing; the sweep still reads
+                // the `String` payload as the failure message.
+                FaultKind::Panic => std::panic::resume_unwind(Box::new(format!(
                     "chaos: planned panic at point {} ({}) attempt {}",
                     ctx.index,
                     ctx.label(),
                     ctx.attempt
-                ),
+                ))),
                 FaultKind::Error => Err(synthesize_violation(seed, ctx)),
                 FaultKind::Stall { ms } => {
                     std::thread::sleep(Duration::from_millis(ms));

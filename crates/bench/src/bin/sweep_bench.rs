@@ -5,8 +5,8 @@
 //!
 //! A second, serial pass over the same 156 points times the pipeline's
 //! main stage on its own: lowering each point's trace into runs
-//! (`LoweredTrace::relower`), with the request and run counts it
-//! produced. DRAM replay of the same lowered traces is timed by
+//! (`LoweredTrace::relower`), in total and per lineup scheme, with the
+//! request and run counts it produced. DRAM replay of the same lowered traces is timed by
 //! `dram_bench`; together they are the stage-by-stage numbers a
 //! performance change reports before and after.
 //!
@@ -51,16 +51,26 @@ struct BenchRecord {
     parallel_engaged: bool,
     /// Serial pass: milliseconds lowering every point's trace into runs.
     lower_ms: f64,
+    /// Serial pass: `lower_ms` split by lineup scheme, in lineup order.
+    lower_ms_by_scheme: Vec<SchemeLowering>,
     /// Serial pass: 64 B requests lowered over all points.
     requests: u64,
     /// Serial pass: runs those requests form.
     runs: u64,
 }
 
+/// One lineup scheme's share of the serial lowering pass.
+#[derive(Serialize)]
+struct SchemeLowering {
+    scheme: &'static str,
+    /// Milliseconds lowering this scheme's points (every NPU × workload).
+    ms: f64,
+}
+
 /// Wall-clock and volume of the serial lowering pass.
-#[derive(Default)]
 struct Lowering {
-    seconds: f64,
+    /// Seconds per lineup scheme, in `scheme_names()` order.
+    seconds_by_scheme: Vec<f64>,
     requests: u64,
     runs: u64,
 }
@@ -68,16 +78,20 @@ struct Lowering {
 /// Lowers every point once, serially, timing only the lowering.
 fn time_lowering(npus: &[NpuConfig], models: &[seda::models::Model]) -> Lowering {
     let cache = TraceCache::new();
-    let mut lowering = Lowering::default();
+    let mut lowering = Lowering {
+        seconds_by_scheme: vec![0.0; scheme_names().len()],
+        requests: 0,
+        runs: 0,
+    };
     let mut lowered = LoweredTrace::default();
     for npu in npus {
         for model in models {
             let sim = cache.get_or_simulate(npu, model);
-            for name in scheme_names() {
+            for (si, name) in scheme_names().into_iter().enumerate() {
                 let mut scheme = scheme_by_name(name).expect("lineup name");
                 let t0 = Instant::now();
                 lowered.relower(&sim, scheme.as_mut());
-                lowering.seconds += t0.elapsed().as_secs_f64();
+                lowering.seconds_by_scheme[si] += t0.elapsed().as_secs_f64();
                 lowering.requests += (0..lowered.layers())
                     .map(|li| lowered.layer_requests(li))
                     .sum::<u64>();
@@ -115,7 +129,15 @@ fn main() {
         engine_ms_per_point: round6(engine.as_secs_f64() * 1e3 / points as f64),
         host_cpus,
         parallel_engaged: host_cpus > 1,
-        lower_ms: round6(lowering.seconds * 1e3),
+        lower_ms: round6(lowering.seconds_by_scheme.iter().sum::<f64>() * 1e3),
+        lower_ms_by_scheme: scheme_names()
+            .into_iter()
+            .zip(&lowering.seconds_by_scheme)
+            .map(|(scheme, s)| SchemeLowering {
+                scheme,
+                ms: round6(s * 1e3),
+            })
+            .collect(),
         requests: lowering.requests,
         runs: lowering.runs,
     };
@@ -146,6 +168,9 @@ fn main() {
         "serial lowering: {:.2} ms ({} requests in {} runs)",
         record.lower_ms, record.requests, record.runs
     );
+    for s in &record.lower_ms_by_scheme {
+        println!("  {:9} {:8.2} ms", s.scheme, s.ms);
+    }
 
     let json = serde_json::to_string_pretty(&record).expect("serializable");
     write_or_die(&out_path, json);

@@ -17,10 +17,12 @@
 //!   emitted request attributed in the [`seda_protect::TrafficBreakdown`],
 //!   SeDA never overfetching, SGX/MGX metadata matching the `MetaCache`
 //!   hit/miss accounting.
-//! * [`meta_cache`] — the flat `MetaCache` against the map-based model
-//!   it replaced: identical access results, stats and flushes over random
-//!   geometries and hot-set, thrash, sequential and random streams, and
-//!   `access_run` equal to the repeated accesses it stands for.
+//! * [`meta_cache`] — the recency-ordered `MetaCache` against the
+//!   map-based model it replaced: identical access results, stats and
+//!   flushes over the lineup's VN and MAC geometries, a non-power-of-two
+//!   geometry and random ones, with hot-set, thrash, sequential and
+//!   random streams, and `access_run` equal to the repeated accesses it
+//!   stands for.
 //! * [`dram`] — DRAM timing invariants (monotone channel clocks, burst
 //!   length from config, refresh-window exclusion, achieved bandwidth at
 //!   or below peak) over randomized request streams.
@@ -278,6 +280,10 @@ pub fn run_case(family: Family, seed: u64, case: u32) -> Result<(), String> {
         return runs::real_trace(seed);
     }
     let mut rng = Rng::for_stream(seed, u64::from(case));
+    // The meta-cache family's first cases use fixed cache geometries.
+    if family == Family::MetaCache {
+        return meta_cache::check_case_at(case, &mut rng);
+    }
     checker(family)(&mut rng)
 }
 

@@ -1,9 +1,10 @@
-//! Differential oracle for the flat metadata cache.
+//! Differential oracle for the recency-ordered metadata cache.
 //!
-//! [`MetaCache`] stores its sets in one flat `sets × ways` array, fills
-//! invalid ways before evicting, and applies runs of repeated accesses to
-//! one line in closed form ([`MetaCache::access_run`]). This family keeps
-//! the original map-based model, [`MapCache`] (a `HashMap` of growable
+//! [`MetaCache`] keeps each set's lines in recency order with a fill
+//! count, indexes by shift and mask for power-of-two geometries and by
+//! division otherwise, and applies runs of repeated accesses to one line
+//! in closed form ([`MetaCache::access_run`]). This family keeps the
+//! original map-based model, [`MapCache`] (a `HashMap` of growable
 //! per-set way lists, pushed until full, evicting the minimum LRU tick),
 //! as the reference and replays random streams through both:
 //!
@@ -13,7 +14,11 @@
 //!   `access_run(a, w, n)` must return the first access's result and
 //!   leave every later access, stat and flush identical.
 //!
-//! Geometries span 1–16 ways, 1–64 sets and 32, 48 or 64 B lines, over
+//! The first three cases of every seed use fixed geometries: the
+//! lineup's VN cache (64 B × 32 sets × 8 ways) and MAC cache (64 B × 16
+//! sets × 8 ways), which take the shift-and-mask path, and a 48 B ×
+//! 24-set × 6-way cache, which takes the division path. Later cases draw
+//! 1–16 ways, 1–64 sets and 32, 48 or 64 B lines. Every case runs
 //! hot-set, thrash, sequential and random streams with mixed reads and
 //! writes.
 
@@ -183,12 +188,31 @@ fn stream_of(shape: Shape, rng: &mut Rng, line: u64, sets: u64, ways: u64, len: 
     ops
 }
 
-/// One randomized case: one geometry, every stream shape, the flat cache
-/// (per access and by runs) against the map-based reference.
+/// The geometries of cases 0, 1 and 2 as `(line bytes, sets, ways)`:
+/// the lineup's 16 KB VN cache and 8 KB MAC cache (shift and mask), and a
+/// cache whose line size and set count are not powers of two (division).
+const FIXED_GEOMETRIES: [(u64, u64, u64); 3] = [(64, 32, 8), (64, 16, 8), (48, 24, 6)];
+
+/// Case `case` of a seed: a fixed geometry for the first
+/// [`FIXED_GEOMETRIES`], a random one after.
+pub(crate) fn check_case_at(case: u32, rng: &mut Rng) -> Result<(), String> {
+    match FIXED_GEOMETRIES.get(case as usize) {
+        Some(&(line, sets, ways)) => check_geometry(rng, line, sets, ways),
+        None => check_case(rng),
+    }
+}
+
+/// One randomized case: a random geometry, every stream shape.
 pub fn check_case(rng: &mut Rng) -> Result<(), String> {
     let ways = rng.range(1, 16);
     let sets = rng.range(1, 64);
     let line = *rng.pick(&[64u64, 64, 32, 48]);
+    check_geometry(rng, line, sets, ways)
+}
+
+/// One geometry, every stream shape: the cache (per access and by runs)
+/// against the map-based reference.
+fn check_geometry(rng: &mut Rng, line: u64, sets: u64, ways: u64) -> Result<(), String> {
     for shape in SHAPES {
         let ops = stream_of(shape, rng, line, sets, ways, 1500);
         let ctx = format!("{shape:?}: line={line} sets={sets} ways={ways}");
