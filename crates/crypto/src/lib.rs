@@ -11,7 +11,9 @@
 //! * [`otp`] — the three pad-generation strategies the paper compares:
 //!   T-AES (engine bank), shared-OTP (insecure strawman), and B-AES
 //!   (SeDA's single-engine bandwidth-aware mechanism, Algorithm 1).
-//! * [`sha256`] — SHA-256 and HMAC-SHA-256, the hash behind block MACs.
+//! * [`sha256`] — SHA-256 and HMAC-SHA-256, the hash behind block MACs,
+//!   with a keyed [`HmacSha256`](sha256::HmacSha256) context that derives
+//!   the key's inner and outer midstates once per key, not once per tag.
 //! * [`mac`] — truncated 64-bit block MACs, with and without position
 //!   binding, and the XOR-fold used for layer/model MACs (Algorithm 2).
 //!

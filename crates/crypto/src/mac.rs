@@ -8,7 +8,7 @@
 //! zeroed it hashes the ciphertext alone — the construction Securator-style
 //! layer checks rely on, whose XOR fold RePA defeats.
 
-use crate::sha256::hmac_sha256;
+use crate::sha256::HmacSha256;
 
 /// MAC width assumed throughout the evaluation (8 B MAC per block).
 pub const MAC_BYTES: usize = 8;
@@ -140,25 +140,26 @@ fn truncate(digest: &[u8; 32]) -> MacTag {
 /// ```
 #[derive(Debug, Clone)]
 pub struct PositionBoundMac {
-    key: [u8; 16],
+    hmac: HmacSha256,
 }
 
 impl PositionBoundMac {
     /// Creates a MAC engine under `key`.
     pub fn new(key: [u8; 16]) -> Self {
-        Self { key }
+        Self {
+            hmac: HmacSha256::new(&key),
+        }
     }
 
     /// MACs a ciphertext block bound to address, version, and position.
     pub fn tag(&self, blk: &[u8], pa: u64, vn: u64, pos: BlockPosition) -> MacTag {
-        let mut msg = Vec::with_capacity(blk.len() + 28);
-        msg.extend_from_slice(blk);
-        msg.extend_from_slice(&pa.to_be_bytes());
-        msg.extend_from_slice(&vn.to_be_bytes());
-        msg.extend_from_slice(&pos.layer_id.to_be_bytes());
-        msg.extend_from_slice(&pos.fmap_idx.to_be_bytes());
-        msg.extend_from_slice(&pos.blk_idx.to_be_bytes());
-        truncate(&hmac_sha256(&self.key, &msg))
+        let mut binding = [0u8; 28];
+        binding[..8].copy_from_slice(&pa.to_be_bytes());
+        binding[8..16].copy_from_slice(&vn.to_be_bytes());
+        binding[16..20].copy_from_slice(&pos.layer_id.to_be_bytes());
+        binding[20..24].copy_from_slice(&pos.fmap_idx.to_be_bytes());
+        binding[24..].copy_from_slice(&pos.blk_idx.to_be_bytes());
+        truncate(&self.hmac.mac(&[blk, &binding]))
     }
 }
 
@@ -257,6 +258,29 @@ mod tests {
         assert_ne!(base, mac.tag(b"data", 1, 2, BlockPosition::new(9, 4, 5)));
         assert_ne!(base, mac.tag(b"data", 1, 2, BlockPosition::new(3, 9, 5)));
         assert_ne!(base, mac.tag(b"data", 1, 2, BlockPosition::new(3, 4, 9)));
+    }
+
+    #[test]
+    fn tag_is_the_truncated_hmac_of_the_bound_message() {
+        use crate::sha256::hmac_sha256;
+        let key = [0x42u8; 16];
+        let mac = PositionBoundMac::new(key);
+        for len in [0usize, 7, 36, 64, 100, 200] {
+            let blk: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            let mut msg = blk.clone();
+            msg.extend_from_slice(&0x1122_3344_5566_7788u64.to_be_bytes());
+            msg.extend_from_slice(&9u64.to_be_bytes());
+            for v in [3u32, 4, 5] {
+                msg.extend_from_slice(&v.to_be_bytes());
+            }
+            let want = truncate(&hmac_sha256(&key, &msg));
+            let pos = BlockPosition::new(3, 4, 5);
+            assert_eq!(
+                mac.tag(&blk, 0x1122_3344_5566_7788, 9, pos),
+                want,
+                "{len} B"
+            );
+        }
     }
 
     #[test]

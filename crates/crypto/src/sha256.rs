@@ -96,15 +96,17 @@ impl Sha256 {
     /// Finishes the hash and returns the 32-byte digest.
     pub fn finalize(mut self) -> Digest {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        // `update` tracks total_len; undo the padding byte's contribution.
-        self.total_len = self.total_len.wrapping_sub(1);
-        while self.buffered != 56 {
-            self.update(&[0]);
-            self.total_len = self.total_len.wrapping_sub(1);
+        // `update` leaves fewer than BLOCK_BYTES bytes buffered, so the
+        // 0x80 terminator always fits; a tail of 56 bytes or more leaves
+        // no room for the length, which then goes in one more block.
+        let mut block = [0u8; BLOCK_BYTES];
+        block[..self.buffered].copy_from_slice(&self.buffer[..self.buffered]);
+        block[self.buffered] = 0x80;
+        if self.buffered >= BLOCK_BYTES - 8 {
+            self.compress(&block);
+            block = [0u8; BLOCK_BYTES];
         }
-        let mut block = self.buffer;
-        block[56..].copy_from_slice(&bit_len.to_be_bytes());
+        block[BLOCK_BYTES - 8..].copy_from_slice(&bit_len.to_be_bytes());
         self.compress(&block);
         let mut out = [0u8; DIGEST_BYTES];
         for (i, w) in self.state.iter().enumerate() {
@@ -165,14 +167,24 @@ impl Sha256 {
     }
 }
 
-/// HMAC-SHA-256 (RFC 2104) over `data` under `key`.
-pub fn hmac_sha256(key: &[u8], data: &[u8]) -> Digest {
-    let mut key_block = [0u8; BLOCK_BYTES];
+/// The HMAC key block: the key zero-padded to one block, or its digest
+/// when it is longer than a block.
+fn key_block(key: &[u8]) -> [u8; BLOCK_BYTES] {
+    let mut block = [0u8; BLOCK_BYTES];
     if key.len() > BLOCK_BYTES {
-        key_block[..DIGEST_BYTES].copy_from_slice(&Sha256::digest(key));
+        block[..DIGEST_BYTES].copy_from_slice(&Sha256::digest(key));
     } else {
-        key_block[..key.len()].copy_from_slice(key);
+        block[..key.len()].copy_from_slice(key);
     }
+    block
+}
+
+/// HMAC-SHA-256 (RFC 2104) over `data` under `key`.
+///
+/// Derives the padded key blocks on every call; it is the reference the
+/// keyed [`HmacSha256`] context is tested against.
+pub fn hmac_sha256(key: &[u8], data: &[u8]) -> Digest {
+    let key_block = key_block(key);
     let mut ipad = [0x36u8; BLOCK_BYTES];
     let mut opad = [0x5cu8; BLOCK_BYTES];
     for i in 0..BLOCK_BYTES {
@@ -187,6 +199,50 @@ pub fn hmac_sha256(key: &[u8], data: &[u8]) -> Digest {
     outer.update(&opad);
     outer.update(&inner_digest);
     outer.finalize()
+}
+
+/// A keyed HMAC-SHA-256 context.
+///
+/// `new` absorbs the key's ipad and opad blocks once; each
+/// [`mac`](Self::mac) clones the two midstates, so a tag costs the
+/// message's compressions plus one for the outer hash, not two more for
+/// the key. Equal to [`hmac_sha256`] over the concatenated parts.
+///
+/// # Examples
+///
+/// ```
+/// use seda_crypto::sha256::{hmac_sha256, HmacSha256};
+///
+/// let keyed = HmacSha256::new(b"key");
+/// assert_eq!(keyed.mac(&[b"split ", b"message"]), hmac_sha256(b"key", b"split message"));
+/// ```
+#[derive(Debug, Clone)]
+pub struct HmacSha256 {
+    inner: Sha256,
+    outer: Sha256,
+}
+
+impl HmacSha256 {
+    /// Creates a context under `key` (any length, per RFC 2104).
+    pub fn new(key: &[u8]) -> Self {
+        let key_block = key_block(key);
+        let mut inner = Sha256::new();
+        let mut outer = Sha256::new();
+        inner.update(&key_block.map(|b| b ^ 0x36));
+        outer.update(&key_block.map(|b| b ^ 0x5c));
+        Self { inner, outer }
+    }
+
+    /// The HMAC of the concatenation of `parts`.
+    pub fn mac(&self, parts: &[&[u8]]) -> Digest {
+        let mut inner = self.inner.clone();
+        for part in parts {
+            inner.update(part);
+        }
+        let mut outer = self.outer.clone();
+        outer.update(&inner.finalize());
+        outer.finalize()
+    }
 }
 
 #[cfg(test)]
@@ -244,6 +300,48 @@ mod tests {
             h.update(&data[..split]);
             h.update(&data[split..]);
             assert_eq!(h.finalize(), Sha256::digest(&data), "split at {split}");
+        }
+    }
+
+    /// Every padding case of `finalize`: the empty message, tails that
+    /// fit the length in their own block (0–55 bytes), tails of 56–63
+    /// bytes that spill it into a second block, and exact block
+    /// multiples. The digests of each prefix of a 130-byte message are
+    /// folded into one pinned hash.
+    #[test]
+    fn digests_of_every_short_length_are_pinned() {
+        let data: Vec<u8> = (0..130u32).map(|i| (i * 7 + 3) as u8).collect();
+        let mut fold = Sha256::new();
+        for n in 0..=data.len() {
+            fold.update(&Sha256::digest(&data[..n]));
+        }
+        assert_eq!(
+            hex(&fold.finalize()),
+            "b3d31aa6b4f0810cff11dc15fd1017d7ba047ad10e757b0e36ed68897e6d1851"
+        );
+    }
+
+    #[test]
+    fn keyed_context_matches_the_reference() {
+        let msg: Vec<u8> = (0..199u32).map(|i| (i * 31 + 5) as u8).collect();
+        for key_len in [0usize, 16, 64, 65, 131] {
+            let key: Vec<u8> = (0..key_len).map(|i| (i * 13 + 1) as u8).collect();
+            let keyed = HmacSha256::new(&key);
+            for len in 0..msg.len() {
+                let m = &msg[..len];
+                let want = hmac_sha256(&key, m);
+                assert_eq!(keyed.mac(&[m]), want, "key {key_len} B, msg {len} B");
+                // Parts split at and around the block boundaries.
+                for cut in [1usize, 55, 56, 63, 64, 65, 128].map(|c| c.min(len)) {
+                    let (a, b) = m.split_at(cut);
+                    assert_eq!(
+                        keyed.mac(&[a, b]),
+                        want,
+                        "key {key_len}, msg {len}, cut {cut}"
+                    );
+                    assert_eq!(keyed.mac(&[a, &[], b]), want);
+                }
+            }
         }
     }
 

@@ -1,13 +1,18 @@
 //! The event-driven simulation kernel.
 //!
-//! A monotone virtual clock and a binary-heap event queue ordered by
-//! `(time, rank, tie, seq)` — rank 0 layer-done events tie-broken by
-//! NPU index, rank 1 arrivals tie-broken by issue id, rank 2 swap-due
-//! events tie-broken by declaration index — so popping one cycle's
-//! events yields exactly the shared phase order of
-//! [`sched`](crate::sched). No wall clock appears anywhere; identical
-//! specs produce identical outcomes on any machine, thread count, or
-//! re-run.
+//! A monotone virtual clock and two event sources. A binary heap holds
+//! the events that are scheduled while the run goes on, ordered by
+//! `(time, rank, tie, seq)`: rank 0 layer-done events tie-broken by NPU
+//! index, rank 1 closed-loop arrivals tie-broken by issue id, rank 2
+//! swap-due events tie-broken by declaration index. Open-loop arrivals
+//! are known up front and already sorted by `(cycle, id)`, so they stay
+//! in their trace and a cursor walks it. Each cycle takes the heap's
+//! layer-dones, then the cursor's arrivals, then the heap's remaining
+//! events, which yields exactly the shared phase order of
+//! [`sched`](crate::sched) while the heap stays as small as the number
+//! of replicas, swaps and clients. No wall clock appears anywhere;
+//! identical specs produce identical outcomes on any machine, thread
+//! count, or re-run.
 
 use crate::arrivals::{open_loop_trace, Arrival};
 use crate::sched::{Batch, Clients, Metrics, QueuedReq, SchedState};
@@ -31,7 +36,7 @@ struct Event {
 enum EventKind {
     /// The running batch on this NPU finishes its current layer.
     LayerDone { npu: usize },
-    /// A request arrives.
+    /// A closed-loop request arrives.
     Arrival { tenant: usize, client: Option<u32> },
     /// A scheduled hot model-swap becomes due.
     SwapDue { swap: usize },
@@ -41,6 +46,10 @@ enum EventKind {
 struct Engine<'a> {
     spec: &'a SimSpec,
     heap: BinaryHeap<Reverse<Event>>,
+    /// The open-loop arrival trace in `(cycle, id)` order (empty for a
+    /// closed loop) and the index of its next undelivered arrival.
+    trace: Vec<Arrival>,
+    cursor: usize,
     npus: Vec<Option<Batch>>,
     state: SchedState,
     metrics: Metrics,
@@ -167,35 +176,50 @@ impl Engine<'_> {
         }
     }
 
+    /// Pops the next heap event at cycle `now` of rank `rank` or less.
+    fn pop_due(&mut self, now: u64, rank: u8) -> Option<Event> {
+        let &Reverse(ev) = self.heap.peek()?;
+        if ev.time != now || ev.rank > rank {
+            return None;
+        }
+        self.heap.pop();
+        Some(ev)
+    }
+
+    fn handle(&mut self, ev: Event, now: u64) {
+        match ev.kind {
+            EventKind::LayerDone { npu } => self.layer_done(npu, now),
+            EventKind::Arrival { tenant, client } => self.arrive(tenant, ev.seq, client, now),
+            EventKind::SwapDue { swap } => {
+                self.metrics.event();
+                self.swap_pending[swap] = true;
+            }
+        }
+    }
+
     fn run(mut self) -> SimOutcome {
         while self.completed < self.total {
-            let Some(&Reverse(first)) = self.heap.peek() else {
+            let next_event = self.heap.peek().map(|Reverse(ev)| ev.time);
+            let next_arrival = self.trace.get(self.cursor).map(|a| a.cycle);
+            let Some(now) = next_event.into_iter().chain(next_arrival).min() else {
                 // Nothing can make progress; only reachable through a
                 // spec whose arrival process issues fewer requests than
                 // `total`, which the generators rule out.
                 break;
             };
-            let now = first.time;
-            // Pop the whole cycle: events emerge already phase-ordered
-            // (layer-dones by NPU index, then arrivals by issue id), and
-            // everything pushed during processing lands strictly later.
-            while let Some(&Reverse(ev)) = self.heap.peek() {
-                if ev.time != now {
-                    break;
-                }
-                let Some(Reverse(ev)) = self.heap.pop() else {
-                    break;
-                };
-                match ev.kind {
-                    EventKind::LayerDone { npu } => self.layer_done(npu, now),
-                    EventKind::Arrival { tenant, client } => {
-                        self.arrive(tenant, ev.seq, client, now);
-                    }
-                    EventKind::SwapDue { swap } => {
-                        self.metrics.event();
-                        self.swap_pending[swap] = true;
-                    }
-                }
+            // Everything pushed while a cycle is processed lands strictly
+            // later, so the three phases below see the whole cycle:
+            // layer-dones by NPU index, then open-loop arrivals by issue
+            // id, then closed-loop arrivals and swap-dues.
+            while let Some(ev) = self.pop_due(now, 0) {
+                self.handle(ev, now);
+            }
+            while let Some(&a) = self.trace.get(self.cursor).filter(|a| a.cycle == now) {
+                self.cursor += 1;
+                self.arrive(a.tenant, a.id, a.client, now);
+            }
+            while let Some(ev) = self.pop_due(now, 2) {
+                self.handle(ev, now);
             }
             self.cutover(now);
             self.dispatch(now);
@@ -219,6 +243,8 @@ pub fn simulate(spec: &SimSpec) -> SimOutcome {
     let mut engine = Engine {
         spec,
         heap: BinaryHeap::new(),
+        trace: Vec::new(),
+        cursor: 0,
         npus: (0..spec.replicas).map(|_| None).collect(),
         state: SchedState::new(spec),
         metrics: Metrics::new(spec.tenants.len(), spec.replicas as usize),
@@ -238,11 +264,7 @@ pub fn simulate(spec: &SimSpec) -> SimOutcome {
         }));
     }
     match spec.arrival {
-        ArrivalSim::OpenLoop { .. } => {
-            for a in open_loop_trace(spec) {
-                engine.push_arrival(a);
-            }
-        }
+        ArrivalSim::OpenLoop { .. } => engine.trace = open_loop_trace(spec),
         ArrivalSim::ClosedLoop { .. } => {
             let (clients, initial) = Clients::new(spec);
             engine.clients = Some(clients);
@@ -468,6 +490,57 @@ mod tests {
             "a busy tenant defers the cutover, got {}",
             out.swaps[0].cutover
         );
+    }
+
+    #[test]
+    fn layer_done_arrival_and_swap_in_one_cycle_match_the_reference() {
+        use crate::reference::simulate_stepped;
+        use crate::spec::SwapSim;
+        let mk = |seed, first_layer| SimSpec {
+            seed,
+            scheduler: Scheduler::Edf { preempt: true },
+            replicas: 1,
+            max_batch: 1,
+            tenants: vec![
+                tenant("bulk", vec![first_layer, 40], None, 1),
+                tenant("tight", vec![30], Some(50), 1),
+            ],
+            arrival: ArrivalSim::OpenLoop {
+                mean_cycles: 200.0,
+                requests: 40,
+                burst: None,
+                diurnal: None,
+            },
+            swaps: vec![],
+        };
+        // The trace does not depend on the profiles: find a seed whose
+        // first arrival is for "bulk" and whose second, strictly later,
+        // is for "tight".
+        let (seed, a0, a1) = (1..)
+            .find_map(|seed| {
+                let t = open_loop_trace(&mk(seed, 1));
+                (t[0].tenant == 0 && t[1].tenant == 1 && t[1].cycle > t[0].cycle)
+                    .then_some((seed, t[0].cycle, t[1].cycle))
+            })
+            .expect("a seed with that arrival order");
+        // Request 0 starts at `a0` on the idle replica, so its first
+        // layer ends at `a1`: the cycle of request 1's arrival and of
+        // the swap of request 1's tenant.
+        let mut spec = mk(seed, a1 - a0);
+        spec.swaps = vec![SwapSim {
+            tenant: 1,
+            at_cycle: a1,
+            profiles: vec![vec![20]],
+        }];
+        let out = simulate(&spec);
+        assert_eq!(out, simulate_stepped(&spec));
+        // The layer-done judged preemption against the queue before the
+        // arrival, so request 0 ran on; the idle tenant cut over at once.
+        assert_eq!(
+            (out.completions[0].id, out.completions[0].completion),
+            (0, a1 + 40)
+        );
+        assert_eq!(out.swaps[0].cutover, a1);
     }
 
     #[test]

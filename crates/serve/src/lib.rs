@@ -19,8 +19,9 @@
 //!   deterministic burst/diurnal modulation) or closed-loop client
 //!   populations with exponential think times.
 //! - [`kernel::simulate`] is the event-driven kernel: a binary-heap
-//!   event queue with stable tie-breaking executes the shared
-//!   three-phase cycle contract of [`sched`].
+//!   queue with stable tie-breaking for the events scheduled during the
+//!   run, and a cursor over the pre-generated open-loop arrivals,
+//!   execute the shared per-cycle phase contract of [`sched`].
 //! - [`reference::simulate_stepped`] is the brute-force 1-cycle
 //!   time-stepped kernel the differential serving oracle replays the
 //!   same specs through, requiring bit-identical [`SimOutcome`]s.

@@ -418,7 +418,7 @@ mod tests {
     use super::*;
 
     fn hist(values: &[u64]) -> HistogramSnapshot {
-        let h = seda_telemetry::AtomicHistogram::new();
+        let mut h = seda_telemetry::Histogram::new();
         for &v in values {
             h.record(v);
         }

@@ -3,9 +3,9 @@
 //! The event-driven kernel and the brute-force time-stepped reference
 //! must agree bit-for-bit, so the *policy* — queue discipline, batch
 //! formation, preemption predicate, metric recording — lives here once,
-//! and each kernel supplies only its own notion of time: the heap with
-//! `(time, rank, tie, seq)` ordering on one side, literal 1-cycle
-//! stepping on the other. The shared per-cycle contract both uphold:
+//! and each kernel supplies only its own notion of time: a heap with
+//! `(time, rank, tie, seq)` ordering plus a cursor over the open-loop
+//! arrival trace on one side, literal 1-cycle stepping on the other. The shared per-cycle contract both uphold:
 //!
 //! 1. **Layer-done phase** — boundaries reaching cycle `t` are handled
 //!    in NPU index order. A finished batch records completions in
@@ -28,7 +28,7 @@
 //! only changes on active cycles, so checking it there loses nothing.
 
 use crate::spec::{Completion, Scheduler, SimOutcome, SimSpec, SwapOutcome};
-use seda_telemetry::AtomicHistogram;
+use seda_telemetry::Histogram;
 use std::collections::VecDeque;
 
 /// One queued request awaiting dispatch.
@@ -241,8 +241,8 @@ impl SchedState {
 pub struct Metrics {
     completions: Vec<Completion>,
     queue_trace: Vec<(u64, u64)>,
-    latency: Vec<AtomicHistogram>,
-    queue_depth: Vec<AtomicHistogram>,
+    latency: Vec<Histogram>,
+    queue_depth: Vec<Histogram>,
     busy: Vec<u64>,
     events: u64,
     end_cycle: u64,
@@ -255,8 +255,8 @@ impl Metrics {
         Self {
             completions: Vec::new(),
             queue_trace: Vec::new(),
-            latency: (0..tenants).map(|_| AtomicHistogram::new()).collect(),
-            queue_depth: (0..tenants).map(|_| AtomicHistogram::new()).collect(),
+            latency: vec![Histogram::new(); tenants],
+            queue_depth: vec![Histogram::new(); tenants],
             busy: vec![0; replicas],
             events: 0,
             end_cycle: 0,
@@ -273,7 +273,7 @@ impl Metrics {
         });
     }
 
-    /// Counts one processed event (arrival or layer-done).
+    /// Counts one processed event (layer-done, arrival or swap-due).
     pub fn event(&mut self) {
         self.events += 1;
     }
@@ -308,12 +308,8 @@ impl Metrics {
         SimOutcome {
             completions: self.completions,
             queue_trace: self.queue_trace,
-            tenant_latency: self.latency.iter().map(AtomicHistogram::snapshot).collect(),
-            tenant_queue_depth: self
-                .queue_depth
-                .iter()
-                .map(AtomicHistogram::snapshot)
-                .collect(),
+            tenant_latency: self.latency.iter().map(Histogram::snapshot).collect(),
+            tenant_queue_depth: self.queue_depth.iter().map(Histogram::snapshot).collect(),
             busy_cycles: self.busy,
             end_cycle: self.end_cycle,
             events: self.events,

@@ -79,9 +79,9 @@ pub(crate) fn frame_mac(
     ct: &[u8],
     prev: MacTag,
 ) -> MacTag {
-    let mut msg = Vec::with_capacity(ct.len() + 8);
-    msg.extend_from_slice(ct);
-    msg.extend_from_slice(&prev.0.to_be_bytes());
+    let mut msg = [0u8; BLOCK + 8];
+    msg[..BLOCK].copy_from_slice(ct);
+    msg[BLOCK..].copy_from_slice(&prev.0.to_be_bytes());
     transport.tag(&msg, stream_id, seq, BlockPosition::new(layer, 0, blk))
 }
 

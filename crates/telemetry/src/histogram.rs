@@ -1,16 +1,80 @@
-//! Lock-free log2-bucketed histogram.
+//! Log2-bucketed histograms.
 //!
 //! Values land in bucket `bit_length(v)` — bucket 0 holds zeros, bucket
 //! `i > 0` holds `[2^(i-1), 2^i)` — so one `u64` range needs 65 buckets.
-//! All state is `AtomicU64`, making concurrent recording from sweep worker
-//! threads wait-free; snapshots are taken with relaxed loads and are
-//! therefore approximate only while writers are active.
+//! [`Histogram`] is the plain single-owner form; [`AtomicHistogram`]
+//! keeps all state in `AtomicU64`, making concurrent recording from
+//! sweep worker threads wait-free, and its snapshots are taken with
+//! relaxed loads and are therefore approximate only while writers are
+//! active. Both yield the same [`HistogramSnapshot`] for the same
+//! samples.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of log2 buckets covering the full `u64` range (zeros + 64 bit
 /// lengths).
 pub const BUCKETS: usize = 65;
+
+fn bucket(value: u64) -> usize {
+    (64 - value.leading_zeros()) as usize
+}
+
+/// A histogram of `u64` samples owned by one thread: recording is plain
+/// arithmetic, with no atomic read-modify-writes.
+#[derive(Debug, Clone)]
+pub struct Histogram {
+    count: u64,
+    sum: u64,
+    min: u64,
+    max: u64,
+    buckets: [u64; BUCKETS],
+}
+
+impl Default for Histogram {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Histogram {
+    /// Creates an empty histogram.
+    pub fn new() -> Self {
+        Self {
+            count: 0,
+            sum: 0,
+            min: u64::MAX,
+            max: 0,
+            buckets: [0; BUCKETS],
+        }
+    }
+
+    /// Records one sample. The sum wraps on overflow, as
+    /// [`AtomicHistogram`]'s `fetch_add` does.
+    pub fn record(&mut self, value: u64) {
+        self.count += 1;
+        self.sum = self.sum.wrapping_add(value);
+        self.min = self.min.min(value);
+        self.max = self.max.max(value);
+        self.buckets[bucket(value)] += 1;
+    }
+
+    /// A copy of the histogram's state.
+    pub fn snapshot(&self) -> HistogramSnapshot {
+        HistogramSnapshot {
+            count: self.count,
+            sum: self.sum,
+            min: if self.count == 0 { 0 } else { self.min },
+            max: self.max,
+            log2_buckets: self
+                .buckets
+                .iter()
+                .enumerate()
+                .filter(|&(_, &n)| n > 0)
+                .map(|(i, &n)| (i as u8, n))
+                .collect(),
+        }
+    }
+}
 
 /// A concurrently-updatable histogram of `u64` samples.
 #[derive(Debug)]
@@ -46,36 +110,24 @@ impl AtomicHistogram {
         self.sum.fetch_add(value, Ordering::Relaxed);
         self.min.fetch_min(value, Ordering::Relaxed);
         self.max.fetch_max(value, Ordering::Relaxed);
-        let bucket = (64 - value.leading_zeros()) as usize;
-        self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
+        self.buckets[bucket(value)].fetch_add(1, Ordering::Relaxed);
     }
 
     /// A point-in-time copy of the histogram's state.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        let count = self.count.load(Ordering::Relaxed);
-        HistogramSnapshot {
-            count,
+        Histogram {
+            count: self.count.load(Ordering::Relaxed),
             sum: self.sum.load(Ordering::Relaxed),
-            min: if count == 0 {
-                0
-            } else {
-                self.min.load(Ordering::Relaxed)
-            },
+            min: self.min.load(Ordering::Relaxed),
             max: self.max.load(Ordering::Relaxed),
-            log2_buckets: self
-                .buckets
-                .iter()
-                .enumerate()
-                .filter_map(|(i, b)| {
-                    let n = b.load(Ordering::Relaxed);
-                    (n > 0).then_some((i as u8, n))
-                })
-                .collect(),
+            buckets: self.buckets.each_ref().map(|b| b.load(Ordering::Relaxed)),
         }
+        .snapshot()
     }
 }
 
-/// Immutable summary of an [`AtomicHistogram`] at snapshot time.
+/// Immutable summary of a [`Histogram`] or [`AtomicHistogram`] at
+/// snapshot time.
 ///
 /// `log2_buckets` lists only non-empty buckets as `(bucket, count)`
 /// pairs, where bucket 0 holds zero-valued samples and bucket `i > 0`
@@ -211,6 +263,30 @@ mod tests {
         let s = h.snapshot();
         assert_eq!(s.quantile(0.5), 0);
         assert_eq!(s.quantile(1.0), u64::MAX);
+    }
+
+    #[test]
+    fn plain_and_atomic_histograms_snapshot_alike() {
+        let cases: [&[u64]; 5] = [
+            &[],
+            &[0],
+            &[u64::MAX],
+            // The sum wraps: MAX + 2 + MAX = 0 (mod 2^64).
+            &[u64::MAX, 2, u64::MAX, 0],
+            &[5, 1, 1024, 3, 0, 77, 1 << 40, 6],
+        ];
+        for samples in cases {
+            let mut plain = Histogram::new();
+            let atomic = AtomicHistogram::new();
+            for &v in samples {
+                plain.record(v);
+                atomic.record(v);
+            }
+            let snap = plain.snapshot();
+            assert_eq!(snap, atomic.snapshot(), "samples {samples:?}");
+            let wrapped = samples.iter().fold(0u64, |s, &v| s.wrapping_add(v));
+            assert_eq!(snap.sum, wrapped, "samples {samples:?}");
+        }
     }
 
     #[test]

@@ -42,7 +42,7 @@ mod sink;
 mod snapshot;
 mod span;
 
-pub use histogram::{AtomicHistogram, HistogramSnapshot, BUCKETS};
+pub use histogram::{AtomicHistogram, Histogram, HistogramSnapshot, BUCKETS};
 pub use sink::{NoopSink, SharedSink, Sink};
 pub use snapshot::{Snapshot, SCHEMA};
 pub use span::Span;

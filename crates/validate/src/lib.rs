@@ -91,7 +91,9 @@ pub mod serving;
 pub mod stream;
 
 use seda_adversary::Rng;
+use std::any::Any;
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// The twelve oracle/invariant families of the harness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -245,26 +247,44 @@ impl fmt::Display for Report {
     }
 }
 
-/// Runs `cases` cases of `family` under `seed`.
+/// Runs `cases` cases of `family` under `seed`. A case that panics is
+/// reported as a failure with its panic message; the run goes on.
 pub fn run_family(family: Family, seed: u64, cases: u32) -> Report {
-    let check = checker(family);
-    let mut failures = Vec::new();
-    for case in 0..cases {
-        if let Err(message) = run_case(family, seed, case) {
-            failures.push(Failure {
-                case,
-                sub_seed: Rng::sub_seed(seed, u64::from(case)),
-                message,
-            });
-        }
-    }
-    let _ = check;
     Report {
         family,
         seed,
         cases,
-        failures,
+        failures: collect_failures(seed, cases, |case| run_case(family, seed, case)),
     }
+}
+
+/// Runs cases `0..cases` through `run_case` under `catch_unwind` and
+/// collects every failed or panicked case in case order.
+fn collect_failures(
+    seed: u64,
+    cases: u32,
+    run_case: impl Fn(u32) -> Result<(), String>,
+) -> Vec<Failure> {
+    (0..cases)
+        .filter_map(|case| {
+            let outcome = catch_unwind(AssertUnwindSafe(|| run_case(case)))
+                .unwrap_or_else(|payload| Err(format!("panicked: {}", panic_message(&*payload))));
+            outcome.err().map(|message| Failure {
+                case,
+                sub_seed: Rng::sub_seed(seed, u64::from(case)),
+                message,
+            })
+        })
+        .collect()
+}
+
+/// The text of a panic payload (`panic!` yields a `&str` or a `String`).
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
 }
 
 /// Runs a single case of `family` — the replay entry point behind the
@@ -371,6 +391,26 @@ mod tests {
         assert!(
             crate_doc.contains(&counted),
             "crate doc must say {counted:?}"
+        );
+    }
+
+    #[test]
+    fn a_panicking_case_is_reported_and_the_run_goes_on() {
+        let failures = collect_failures(9, 4, |case| match case {
+            1 => panic!("case one blew up"),
+            2 => Err("case two failed".to_owned()),
+            _ => Ok(()),
+        });
+        let got: Vec<(u32, u64, &str)> = failures
+            .iter()
+            .map(|f| (f.case, f.sub_seed, f.message.as_str()))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                (1, Rng::sub_seed(9, 1), "panicked: case one blew up"),
+                (2, Rng::sub_seed(9, 2), "case two failed"),
+            ]
         );
     }
 
