@@ -233,11 +233,6 @@ impl DetectionMatrix {
         self.cells.iter().filter(|c| !c.matches()).collect()
     }
 
-    /// Whether every cell matches its claim.
-    pub fn all_match(&self) -> bool {
-        self.cells.iter().all(CellOutcome::matches)
-    }
-
     /// Renders the matrix as an aligned text table (`D` detected, `U`
     /// undetected by design, `-` not applicable; a `!` marks any cell
     /// contradicting its claim).

@@ -9,8 +9,8 @@
 //!
 //! Usage: `cargo run --release -p seda-bench --bin ablation_securator`
 
-use seda::dram::RunBuf;
 use seda::models::zoo;
+use seda::pipeline::LoweredTrace;
 use seda::protect::{ProtectionScheme, SecuratorScheme, PROTECTED_BYTES};
 use seda::scalesim::{simulate_model, NpuConfig};
 
@@ -24,15 +24,8 @@ fn main() {
     for model in zoo::all_models() {
         let sim = simulate_model(&npu, &model);
         let mut securator = SecuratorScheme::new(PROTECTED_BYTES);
-        // Only the scheme's tallies matter here; the lowered runs are
-        // dropped after every burst.
-        let mut lowered = RunBuf::new();
-        for layer in &sim.layers {
-            for burst in &layer.bursts {
-                securator.transform(burst, &mut lowered);
-                lowered.clear();
-            }
-        }
+        // Only the scheme's tallies matter here, not the lowered runs.
+        LoweredTrace::lower(&sim, &mut securator);
         securator.finish(&mut |_r| {});
         let demand = securator.breakdown().demand();
         println!(

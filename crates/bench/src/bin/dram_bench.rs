@@ -2,9 +2,9 @@
 //! kernel on the headline sweep's own request streams.
 //!
 //! Every (NPU, workload, scheme) point of the Fig. 5/6 matrix is lowered
-//! once (via [`LoweredTrace`]) into the flat *packed* request stream the
-//! pipeline replays (8 B per request — see `Request::pack`), then the
-//! stream is driven through both kernels from identical cold starts:
+//! once (via [`LoweredTrace`]) into its flat *packed* per-line request
+//! stream (8 B per request — see `Request::pack`), then the stream is
+//! driven through every kernel from identical cold starts:
 //!
 //! * **per-access** — `DramSim::access` per request, the exact kernel the
 //!   batched path falls back to;
@@ -206,7 +206,9 @@ fn main() {
                     run_sim.run_runs(lowered.layer_runs(li));
                 }
                 by_runs += t2.elapsed().as_secs_f64();
-                runs += lowered.runs().len() as u64;
+                runs += (0..lowered.layers())
+                    .map(|li| lowered.layer_runs(li).len() as u64)
+                    .sum::<u64>();
 
                 for (kernel, sim) in [("batched", &fast), ("runs", &run_sim)] {
                     let agrees = exact.stats() == sim.stats()

@@ -92,10 +92,10 @@ fn time_lowering(npus: &[NpuConfig], models: &[seda::models::Model]) -> Lowering
                 let t0 = Instant::now();
                 lowered.relower(&sim, scheme.as_mut());
                 lowering.seconds_by_scheme[si] += t0.elapsed().as_secs_f64();
-                lowering.requests += (0..lowered.layers())
-                    .map(|li| lowered.layer_requests(li))
-                    .sum::<u64>();
-                lowering.runs += lowered.runs().len() as u64;
+                for li in 0..lowered.layers() {
+                    lowering.requests += lowered.layer_requests(li);
+                    lowering.runs += lowered.layer_runs(li).len() as u64;
+                }
             }
         }
     }

@@ -64,7 +64,7 @@ fn main() {
         let dram_cfg = DramConfig::server();
         let cmd = simulate_commands(&dram_cfg, reqs.clone());
         let mut fast = DramSim::new(dram_cfg);
-        fast.run(reqs);
+        fast.run_batch(&reqs);
         println!(
             "{:<26} {:>12} {:>12} {:>8.3}",
             name,

@@ -16,6 +16,11 @@
 //! (NPU, model) pair — the [`Sweep`] engine, notably — share one
 //! simulation via [`seda_scalesim::TraceCache`].
 //!
+//! The kernel works one layer at a time: it lowers the layer's bursts
+//! into one reused [`RunBuf`] and replays them at once with
+//! [`DramSim::run_runs`]. [`LoweredTrace`] stores a whole inference,
+//! lowered by the same per-layer step.
+//!
 //! [`Sweep`]: crate::sweep::Sweep
 
 use crate::error::SedaError;
@@ -23,7 +28,7 @@ use seda_dram::run::expand;
 use seda_dram::{DramConfig, DramSim, DramStats, Run, RunBuf};
 use seda_models::Model;
 use seda_protect::{HashEngine, ProtectionScheme, TrafficBreakdown};
-use seda_scalesim::{simulate_model, ModelSim, NpuConfig};
+use seda_scalesim::{simulate_model, LayerSim, ModelSim, NpuConfig};
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
@@ -39,29 +44,22 @@ pub fn dram_config_for(npu: &NpuConfig) -> DramConfig {
     DramConfig::ddr4_with_bandwidth(npu.dram_channels, npu.dram_bandwidth)
 }
 
-/// A scheme-rewritten request stream, lowered once and stored run-encoded
-/// with per-layer boundaries.
+/// A scheme-rewritten request stream, lowered once and stored run-encoded,
+/// one [`RunBuf`] per layer — the stored form for benchmarks, differential
+/// checks and tests; [`run_trace`] never holds a whole inference.
 ///
-/// Lowering runs every burst of a pre-simulated trace through
-/// `scheme.transform` into one [`RunBuf`], marking each layer boundary so
-/// no run crosses it. A DNN's tensor walks are long sequential runs, so
-/// the run list is far smaller than the per-line stream (on the paper's
-/// sweep, 6.8 M runs stand for 118 M lines) and [`DramSim::run_runs`]
-/// replays each layer's runs straight into the streak kernel, without
-/// expanding or rescanning them. Each layer records where its runs end and
-/// how many requests it holds, which is all the hash verifier's byte
-/// count needs.
+/// Each layer is lowered by the step [`try_run_trace`] takes before
+/// replaying it, into its own buffer, so no run crosses a layer boundary.
+/// A DNN's tensor walks are long sequential runs, so the run list is far
+/// smaller than the per-line stream (on the paper's sweep, 6.8 M runs
+/// stand for 118 M lines) and [`DramSim::run_runs`] replays each layer's
+/// runs straight into the streak kernel, without expanding them.
 ///
 /// [`LoweredTrace::layer`] and [`LoweredTrace::requests`] give the same
 /// stream as a per-line *packed* view ([`Request::pack`]:
 /// `(block << 1) | is_write`), the form [`DramSim::run_batch_packed`]
 /// replays. Lowering only stores runs; that view is expanded from them
 /// on first use.
-///
-/// [`run_trace`] itself relowers per inference (reusing the allocation),
-/// because schemes are stateful: metadata caches warm across inferences,
-/// so the rewritten stream of inference *n + 1* differs from inference
-/// *n*'s.
 ///
 /// # Examples
 ///
@@ -78,7 +76,7 @@ pub fn dram_config_for(npu: &NpuConfig) -> DramConfig {
 /// assert_eq!(lowered.layers(), sim.layers.len());
 /// assert!(!lowered.requests().is_empty());
 /// // Runs stand for many lines each.
-/// assert!(lowered.runs().len() < lowered.requests().len());
+/// assert!((lowered.layer_runs(0).len() as u64) < lowered.layer_requests(0));
 /// // Each packed word unpacks to the original (block-aligned) request.
 /// let first = Request::unpack(lowered.requests()[0]);
 /// assert_eq!(first.addr % 64, 0);
@@ -87,10 +85,8 @@ pub fn dram_config_for(npu: &NpuConfig) -> DramConfig {
 /// [`Request::pack`]: seda_dram::Request::pack
 #[derive(Debug, Clone, Default)]
 pub struct LoweredTrace {
-    /// The run-encoded stream, with a merge mark at every layer boundary.
-    runs: RunBuf,
-    /// Per layer, the exclusive end of its runs and of its requests.
-    layer_ends: Vec<(usize, u64)>,
+    /// The run-encoded stream of each layer, in execution order.
+    layers: Vec<RunBuf>,
     /// The expanded per-line packed view, built on first use.
     packed: OnceLock<Vec<u64>>,
 }
@@ -103,36 +99,20 @@ impl LoweredTrace {
         lowered
     }
 
-    /// Re-lowers into the existing run buffer, reusing its allocation.
-    /// This is the per-inference path of [`run_trace`]: scheme state
-    /// advances, and the per-line view is dropped until it is next used.
+    /// Re-lowers into the existing layer buffers, reusing their
+    /// allocations: scheme state advances, so this is the next
+    /// inference's stream, and the per-line view is dropped.
     pub fn relower(&mut self, sim: &ModelSim, scheme: &mut dyn ProtectionScheme) {
         self.packed.take();
-        self.runs.clear();
-        self.layer_ends.clear();
-        for layer in &sim.layers {
-            for burst in &layer.bursts {
-                scheme.transform(burst, &mut self.runs);
-            }
-            self.runs.mark();
-            self.layer_ends
-                .push((self.runs.runs().len(), self.runs.requests()));
+        self.layers.resize_with(sim.layers.len(), RunBuf::default);
+        for (layer, out) in sim.layers.iter().zip(&mut self.layers) {
+            lower_layer(layer, scheme, out);
         }
     }
 
     /// Number of layers in the lowered trace.
     pub fn layers(&self) -> usize {
-        self.layer_ends.len()
-    }
-
-    /// Layer `i`'s `(runs, requests)` start and end bounds.
-    fn bounds(&self, i: usize) -> ((usize, u64), (usize, u64)) {
-        let start = if i == 0 {
-            (0, 0)
-        } else {
-            self.layer_ends[i - 1]
-        };
-        (start, self.layer_ends[i])
+        self.layers.len()
     }
 
     /// The runs of layer `i`, in issue order — the slice
@@ -142,8 +122,7 @@ impl LoweredTrace {
     ///
     /// Panics when `i >= self.layers()`.
     pub fn layer_runs(&self, i: usize) -> &[Run] {
-        let ((start, _), (end, _)) = self.bounds(i);
-        &self.runs.runs()[start..end]
+        self.layers[i].runs()
     }
 
     /// Number of requests layer `i`'s runs stand for.
@@ -152,13 +131,7 @@ impl LoweredTrace {
     ///
     /// Panics when `i >= self.layers()`.
     pub fn layer_requests(&self, i: usize) -> u64 {
-        let ((_, start), (_, end)) = self.bounds(i);
-        end - start
-    }
-
-    /// The whole run-encoded stream, in issue order.
-    pub fn runs(&self) -> &[Run] {
-        self.runs.runs()
+        self.layers[i].requests()
     }
 
     /// The packed requests of layer `i`, in issue order — the per-line
@@ -168,7 +141,8 @@ impl LoweredTrace {
     ///
     /// Panics when `i >= self.layers()`.
     pub fn layer(&self, i: usize) -> &[u64] {
-        let ((_, start), (_, end)) = self.bounds(i);
+        let start: u64 = self.layers[..i].iter().map(RunBuf::requests).sum();
+        let end = start + self.layers[i].requests();
         &self.requests()[start as usize..end as usize]
     }
 
@@ -178,10 +152,22 @@ impl LoweredTrace {
     /// [`Request::unpack`]: seda_dram::Request::unpack
     pub fn requests(&self) -> &[u64] {
         self.packed.get_or_init(|| {
-            let mut packed = Vec::with_capacity(self.runs.requests() as usize);
-            packed.extend(expand(self.runs.runs()));
+            let total: u64 = self.layers.iter().map(RunBuf::requests).sum();
+            let mut packed = Vec::with_capacity(total as usize);
+            for layer in &self.layers {
+                packed.extend(expand(layer.runs()));
+            }
             packed
         })
+    }
+}
+
+/// Lowers one layer into `out`, cleared first — the one lowering step of
+/// [`try_run_trace`] and [`LoweredTrace::relower`].
+fn lower_layer(layer: &LayerSim, scheme: &mut dyn ProtectionScheme, out: &mut RunBuf) {
+    out.clear();
+    for burst in &layer.bursts {
+        scheme.transform(burst, out);
     }
 }
 
@@ -339,26 +325,23 @@ pub fn try_run_trace(
     let mut dram = DramSim::new(dram);
     let mem_clock = dram.config().clock_hz;
 
-    // One run buffer for the whole run: each inference lowers the
-    // scheme-rewritten stream into it (schemes are stateful, so the
-    // stream must be regenerated per inference — see [`LoweredTrace`]),
-    // then replays each layer's runs through the DRAM streak kernel.
-    let mut lowered = LoweredTrace::default();
+    // One run buffer for the whole run, refilled per layer. Schemes are
+    // stateful (metadata caches warm), so every inference lowers afresh.
+    let mut buf = RunBuf::new();
     let mut results = Vec::with_capacity(repeats as usize);
     for _ in 0..repeats {
-        lowered.relower(sim, scheme);
         let mut layers = Vec::with_capacity(sim.layers.len());
         let mut total = 0u64;
-        for (li, layer) in sim.layers.iter().enumerate() {
+        for layer in &sim.layers {
+            lower_layer(layer, scheme, &mut buf);
             let start = dram.elapsed_cycles();
-            let requests = lowered.layer_requests(li);
-            dram.run_runs(lowered.layer_runs(li));
+            dram.run_runs(buf.runs());
             let mem_cycles_mem_domain = dram.elapsed_cycles() - start;
             let memory_cycles =
                 (mem_cycles_mem_domain as f64 / mem_clock * npu.clock_hz).ceil() as u64;
             let mut cycles = layer.compute_cycles.max(memory_cycles);
             if let Some(engine) = verifier {
-                let verify_stream = engine.stream_cycles(requests * 64);
+                let verify_stream = engine.stream_cycles(buf.requests() * 64);
                 cycles = cycles.max(verify_stream) + engine.layer_check_exposure();
             }
             total += cycles;
@@ -386,9 +369,9 @@ pub fn try_run_trace(
     // Flush dirty metadata at end of the run; the drain is exposed time,
     // charged to the last inference.
     let start = dram.elapsed_cycles();
-    let mut flush = Vec::new();
-    scheme.finish(&mut |r| flush.push(r));
-    dram.run_batch(&flush);
+    buf.clear();
+    scheme.finish(&mut |r| buf.push(r));
+    dram.run_runs(buf.runs());
     let drain = dram.elapsed_cycles() - start;
     // Invariant: `repeats > 0` was checked at entry, so at least one
     // result exists.

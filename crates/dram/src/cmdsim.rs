@@ -302,7 +302,7 @@ mod tests {
         let reqs = sequential(20_000);
         let cmd = simulate_commands(&cfg, reqs.clone());
         let mut fast = DramSim::new(cfg);
-        fast.run(reqs);
+        fast.run_batch(&reqs);
         let ratio = cmd.cycles as f64 / fast.elapsed_cycles() as f64;
         assert!(
             (0.8..1.25).contains(&ratio),
@@ -326,7 +326,7 @@ mod tests {
         }
         let cmd = simulate_commands(&cfg, reqs.clone());
         let mut fast = DramSim::new(cfg);
-        fast.run(reqs);
+        fast.run_batch(&reqs);
         // The command scheduler sees the whole queue up front (an open
         // front-end with perfect lookahead), so on scatter-heavy mixes it
         // lower-bounds the in-order fast model — by up to ~2x — while

@@ -370,9 +370,9 @@ struct BatchScratch {
 /// A multi-channel DRAM timing simulator.
 ///
 /// Feed it a request stream with [`DramSim::access`] (or in bulk with
-/// [`DramSim::run`]/[`DramSim::run_batch`]) and read aggregate timing from
-/// [`DramSim::stats`]. Bank and bus state persist across calls, so a
-/// whole inference can be simulated layer by layer.
+/// [`DramSim::run_batch`] or [`DramSim::run_runs`]) and read aggregate
+/// timing from [`DramSim::stats`]. Bank and bus state persist across
+/// calls, so a whole inference can be simulated layer by layer.
 ///
 /// # Examples
 ///
@@ -464,24 +464,14 @@ impl DramSim {
         }
     }
 
-    /// Simulates a request stream.
-    ///
-    /// The stream is buffered and replayed through the streak-batched
-    /// kernel, so bulk callers get the fast path automatically; results
-    /// are bit-identical to calling [`DramSim::access`] per request.
-    pub fn run<I: IntoIterator<Item = Request>>(&mut self, requests: I) {
-        let buffer: Vec<Request> = requests.into_iter().collect();
-        self.run_batch(&buffer);
-    }
-
     /// Streak-batched replay of a request slice, bit-identical to calling
     /// [`DramSim::access`] on every element in order.
     ///
     /// Compatibility shim over [`DramSim::run_batch_packed`]: the slice is
     /// packed once into a reused scratch buffer, then replayed in packed
-    /// form. Bulk callers that already hold packed streams — the
-    /// pipeline's lowered traces — call the packed entry point directly
-    /// and skip the conversion pass.
+    /// form. Callers that already hold packed streams — a lowered trace's
+    /// per-line view — call the packed entry point directly and skip the
+    /// conversion pass.
     pub fn run_batch(&mut self, requests: &[Request]) {
         let mut packed = std::mem::take(&mut self.scratch.packed);
         packed.clear();
@@ -1120,10 +1110,13 @@ mod batch_tests {
     #[test]
     fn run_uses_the_batched_kernel() {
         let mut a = DramSim::new(DramConfig::server());
-        a.run((0..10_000u64).map(|i| Request::read(i * ACCESS_BYTES)));
+        let stream: Vec<Request> = (0..10_000u64)
+            .map(|i| Request::read(i * ACCESS_BYTES))
+            .collect();
+        a.run_batch(&stream);
         let mut b = DramSim::new(DramConfig::server());
-        for i in 0..10_000u64 {
-            b.access(Request::read(i * ACCESS_BYTES));
+        for &req in &stream {
+            b.access(req);
         }
         assert_eq!(a.stats(), b.stats());
         assert_eq!(a.elapsed_cycles(), b.elapsed_cycles());

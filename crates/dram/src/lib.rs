@@ -14,7 +14,8 @@
 //! use seda_dram::{DramConfig, DramSim, Request};
 //!
 //! let mut sim = DramSim::new(DramConfig::server());
-//! sim.run((0..256u64).map(|i| Request::read(i * 64)));
+//! let stream: Vec<Request> = (0..256u64).map(|i| Request::read(i * 64)).collect();
+//! sim.run_batch(&stream);
 //! println!(
 //!     "{} accesses in {} cycles ({:.1}% row hits)",
 //!     sim.stats().accesses(),

@@ -32,25 +32,20 @@ impl Run {
     pub fn next(self) -> u64 {
         self.head + 2 * self.len
     }
-
-    /// The run's requests in packed form, in issue order.
-    pub fn packed(self) -> impl Iterator<Item = u64> {
-        (0..self.len).map(move |k| self.head + 2 * k)
-    }
 }
 
 /// Expands a run slice into its packed requests, in issue order.
 pub fn expand(runs: &[Run]) -> impl Iterator<Item = u64> + '_ {
-    runs.iter().flat_map(|r| r.packed())
+    runs.iter()
+        .flat_map(|r| (0..r.len).map(move |k| r.head + 2 * k))
 }
 
 /// A growable run-encoded request stream.
 ///
 /// [`RunBuf::push`] and [`RunBuf::push_run`] append requests and merge
 /// them into the previous run when they continue it, so the buffer always
-/// holds the stream's maximal runs — except across a [`RunBuf::mark`],
-/// which stops merges so that a layer's runs never reach into the next
-/// layer.
+/// holds the stream's maximal runs. A buffer holds one stream; the
+/// pipeline clears it at every layer boundary, so no run crosses one.
 ///
 /// # Examples
 ///
@@ -68,8 +63,6 @@ pub fn expand(runs: &[Run]) -> impl Iterator<Item = u64> + '_ {
 #[derive(Debug, Clone, Default)]
 pub struct RunBuf {
     runs: Vec<Run>,
-    /// Runs below this index are closed to merges (see [`RunBuf::mark`]).
-    sealed: usize,
     /// Requests covered by all runs.
     requests: u64,
 }
@@ -83,7 +76,6 @@ impl RunBuf {
     /// Empties the buffer, keeping its allocation.
     pub fn clear(&mut self) {
         self.runs.clear();
-        self.sealed = 0;
         self.requests = 0;
     }
 
@@ -105,22 +97,13 @@ impl RunBuf {
     #[inline]
     fn push_packed(&mut self, head: u64, len: u64) {
         self.requests += len;
-        if self.runs.len() > self.sealed {
-            if let Some(last) = self.runs.last_mut() {
-                if last.next() == head {
-                    last.len += len;
-                    return;
-                }
+        if let Some(last) = self.runs.last_mut() {
+            if last.next() == head {
+                last.len += len;
+                return;
             }
         }
         self.runs.push(Run { head, len });
-    }
-
-    /// Closes the runs pushed so far to merges: the next request starts a
-    /// new run even when it continues the last one. The pipeline marks
-    /// every layer boundary this way.
-    pub fn mark(&mut self) {
-        self.sealed = self.runs.len();
     }
 
     /// The runs, in issue order.
@@ -186,28 +169,16 @@ mod tests {
     }
 
     #[test]
-    fn mark_stops_merges_once() {
-        let mut buf = RunBuf::new();
-        buf.push_run(Request::read(0), 2);
-        buf.mark();
-        buf.push_run(Request::read(128), 2);
-        buf.push(Request::read(256));
-        assert_eq!(buf.runs().len(), 2);
-        assert_eq!(buf.runs()[1].len, 3);
-        assert_eq!(buf.requests(), 5);
-    }
-
-    #[test]
     fn empty_runs_are_dropped_and_clear_resets() {
         let mut buf = RunBuf::new();
         buf.push_run(Request::write(64), 0);
         assert!(buf.runs().is_empty());
         buf.push_run(Request::write(64), 3);
-        buf.mark();
         buf.clear();
         assert_eq!(buf.requests(), 0);
+        assert!(buf.runs().is_empty());
         buf.push(Request::read(0));
         buf.push(Request::read(64));
-        assert_eq!(buf.runs().len(), 1, "clear also lifts the mark");
+        assert_eq!(buf.runs().len(), 1);
     }
 }

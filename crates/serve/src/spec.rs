@@ -142,11 +142,6 @@ pub struct TenantSim {
 }
 
 impl TenantSim {
-    /// The layer-duration list a batch of `b` requests executes.
-    pub fn batch_layers(&self, b: usize) -> Vec<u64> {
-        self.profiles[..b].concat()
-    }
-
     /// The EDF deadline of a request arriving at `arrival`.
     pub fn deadline(&self, arrival: u64) -> u64 {
         match self.sla_cycles {

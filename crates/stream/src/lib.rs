@@ -22,8 +22,8 @@
 //! block.
 //!
 //! [`measure`] is the timed provisioning path: it verifies and installs
-//! the whole stream, then replays every layer's write-out as packed DRAM
-//! writes ([`seda_dram::DramSim::run_batch_packed`]), reporting sustained
+//! the whole stream, then replays every layer's write-out as one run of
+//! DRAM writes ([`seda_dram::DramSim::run_runs`]), reporting sustained
 //! GB/s and the modelled replay cycles (`stream_bench` records both in
 //! `BENCH_stream.json`). The per-block crypto dominates its wall-clock;
 //! the replay is about 0.1% of it, so there is nothing for a second

@@ -106,11 +106,6 @@ impl SealedStream {
         &self.bytes
     }
 
-    /// Consumes the stream into its bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.bytes
-    }
-
     /// Total stream length in bytes.
     pub fn len(&self) -> usize {
         self.bytes.len()

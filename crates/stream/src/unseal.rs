@@ -8,7 +8,7 @@ use seda::error::StreamViolation;
 use seda::SedaError;
 use seda_adversary::{ProtectedImage, BLOCK};
 use seda_crypto::mac::{MacTag, PositionBoundMac};
-use seda_dram::{DramConfig, DramSim, Request};
+use seda_dram::{DramConfig, DramSim, Request, Run};
 use std::time::Instant;
 
 /// Stream bytes handed to the unsealer per push — a line-rate NIC
@@ -81,11 +81,6 @@ impl StreamUnsealer {
     /// Blocks verified so far.
     pub fn verified_blocks(&self) -> u64 {
         self.verified
-    }
-
-    /// Blocks the geometry declares.
-    pub fn expected_blocks(&self) -> u64 {
-        self.total_blocks
     }
 
     /// Layers fully verified and installed so far.
@@ -336,9 +331,9 @@ pub struct UnsealRun {
 }
 
 /// Provisions a stream end to end and times it: pushes the stream in
-/// [`CHUNK_BYTES`] chunks, finishes, then replays each layer's packed
-/// 64-byte writes through one [`DramSim`] — the off-chip write-out of
-/// the installed image. The image is bit-identical to a one-shot
+/// [`CHUNK_BYTES`] chunks, finishes, then replays each layer's 64-byte
+/// writes as one [`Run`] through one [`DramSim`] — the off-chip write-out
+/// of the installed image. The image is bit-identical to a one-shot
 /// [`unseal()`]; only the wall-clock is measured.
 ///
 /// # Errors
@@ -357,10 +352,10 @@ pub fn measure(
     let image = unsealer.finish()?;
     let mut sim = DramSim::new(dram.clone());
     for (&pa0, &len) in spec.layer_pas().iter().zip(&spec.lens) {
-        let writes: Vec<u64> = (0..len / BLOCK)
-            .map(|i| Request::write(pa0 + (i * BLOCK) as u64).pack())
-            .collect();
-        sim.run_batch_packed(&writes);
+        sim.run_runs(&[Run {
+            head: Request::write(pa0).pack(),
+            len: (len / BLOCK) as u64,
+        }]);
     }
     let wall_s = started.elapsed().as_secs_f64();
     let payload_bytes = spec.total_bytes() as u64;

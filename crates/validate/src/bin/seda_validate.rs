@@ -5,14 +5,14 @@
 //! ```
 //!
 //! Runs every family (or one, with `--family`) and exits non-zero if any
-//! case fails, printing each failure with its case index and sub-seed so
-//! it can be replayed in isolation:
+//! case fails or panics, printing each failure with its case index and
+//! sub-seed so it can be replayed in isolation, under the same runner:
 //!
 //! ```text
 //! seda_validate --family dram --seed 42 --case 7
 //! ```
 
-use seda_validate::{run_case, run_family, Family};
+use seda_validate::{replay_case, run_family, Family};
 use std::process::ExitCode;
 
 struct Args {
@@ -78,16 +78,18 @@ fn main() -> ExitCode {
             eprintln!("--case needs --family");
             std::process::exit(2);
         });
-        return match run_case(family, args.seed, case) {
-            Ok(()) => {
+        return match replay_case(family, args.seed, case) {
+            None => {
                 println!("{} seed={:#x} case={case} ... ok", family.name(), args.seed);
                 ExitCode::SUCCESS
             }
-            Err(message) => {
+            Some(fail) => {
                 eprintln!(
-                    "{} seed={:#x} case={case} FAILED: {message}",
+                    "{} seed={:#x} case={case} (sub-seed {:#x}) FAILED: {}",
                     family.name(),
-                    args.seed
+                    args.seed,
+                    fail.sub_seed,
+                    fail.message
                 );
                 ExitCode::FAILURE
             }

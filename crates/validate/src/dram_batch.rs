@@ -200,8 +200,8 @@ fn replay_batched(cfg: &DramConfig, stream: &[Request], split: usize) -> DramSim
 }
 
 /// Replays `stream` pre-packed through `run_batch_packed`, split at the
-/// same point as [`replay_batched`], exactly as the pipeline's layer
-/// slices drive the kernel.
+/// same point as [`replay_batched`], as a lowered trace's per-line view
+/// drives the kernel.
 fn replay_packed(cfg: &DramConfig, stream: &[Request], split: usize) -> DramSim {
     let packed: Vec<u64> = stream.iter().map(|r| r.pack()).collect();
     let mut sim = DramSim::new(cfg.clone());

@@ -254,18 +254,25 @@ pub fn run_family(family: Family, seed: u64, cases: u32) -> Report {
         family,
         seed,
         cases,
-        failures: collect_failures(seed, cases, |case| run_case(family, seed, case)),
+        failures: collect_failures(seed, 0..cases, |case| run_case(family, seed, case)),
     }
 }
 
-/// Runs cases `0..cases` through `run_case` under `catch_unwind` and
-/// collects every failed or panicked case in case order.
+/// Replays one case of `family` under `seed` — the CLI's `--case` flag —
+/// through the same runner as [`run_family`], so a case that panics
+/// comes back as a [`Failure`] with its panic message.
+pub fn replay_case(family: Family, seed: u64, case: u32) -> Option<Failure> {
+    collect_failures(seed, case..=case, |case| run_case(family, seed, case)).pop()
+}
+
+/// Runs `cases` through `run_case` under `catch_unwind` and collects
+/// every failed or panicked case in case order.
 fn collect_failures(
     seed: u64,
-    cases: u32,
+    cases: impl Iterator<Item = u32>,
     run_case: impl Fn(u32) -> Result<(), String>,
 ) -> Vec<Failure> {
-    (0..cases)
+    cases
         .filter_map(|case| {
             let outcome = catch_unwind(AssertUnwindSafe(|| run_case(case)))
                 .unwrap_or_else(|payload| Err(format!("panicked: {}", panic_message(&*payload))));
@@ -396,7 +403,7 @@ mod tests {
 
     #[test]
     fn a_panicking_case_is_reported_and_the_run_goes_on() {
-        let failures = collect_failures(9, 4, |case| match case {
+        let failures = collect_failures(9, 0..4, |case| match case {
             1 => panic!("case one blew up"),
             2 => Err("case two failed".to_owned()),
             _ => Ok(()),
@@ -412,6 +419,15 @@ mod tests {
                 (2, Rng::sub_seed(9, 2), "case two failed"),
             ]
         );
+    }
+
+    #[test]
+    fn a_panicking_replayed_case_is_a_failure() {
+        // `replay_case` runs its one case exactly like this.
+        let failed = collect_failures(9, 3..=3, |_| panic!("case three blew up")).pop();
+        let failed = failed.expect("a panicking case is a failure");
+        assert_eq!((failed.case, failed.sub_seed), (3, Rng::sub_seed(9, 3)));
+        assert_eq!(failed.message, "panicked: case three blew up");
     }
 
     #[test]

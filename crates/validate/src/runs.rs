@@ -1,24 +1,24 @@
 //! Run-encoded lowering against the per-line view.
 //!
-//! The pipeline lowers each inference into runs ([`LoweredTrace::relower`])
-//! and replays them with [`DramSim::run_runs`]; the per-line packed view
-//! ([`LoweredTrace::layer`]) and [`DramSim::run_batch_packed`] are the
-//! reference. Random burst streams go through every scheme kind — SGX and
-//! MGX at random granularities and metadata-cache sizes, SeDA with
-//! on- and off-chip layer MACs, Securator, the baseline — and each case
-//! checks that:
+//! The pipeline lowers each layer into runs ([`LoweredTrace::relower`]
+//! repeats its step) and replays them with [`DramSim::run_runs`]; the
+//! per-line packed view ([`LoweredTrace::layer`]) and
+//! [`DramSim::run_batch_packed`] are the reference. Random burst streams
+//! go through every scheme kind — SGX and MGX at random granularities and
+//! metadata-cache sizes, SeDA with on- and off-chip layer MACs, Securator,
+//! the baseline — and each case checks that:
 //!
 //! * every layer's runs are canonical: `len > 0`, and no run continues
-//!   its predecessor (the buffer merged everything it could, up to the
-//!   layer mark);
+//!   its predecessor (the buffer merged everything it could within the
+//!   layer);
 //! * expanding a layer's runs gives exactly [`LoweredTrace::layer`], and
 //!   the layer's request count is that slice's length;
 //! * over two inferences plus the `finish` drain, replaying the runs
 //!   ends every layer on the same DRAM clock as replaying the per-line
 //!   view, with identical `DramStats` and bank occupancy.
 //!
-//! Streams mix contiguous bursts (so runs merge across bursts and across
-//! layer boundaries, where the mark must stop them), repeats and random
+//! Streams mix contiguous bursts (so runs merge across bursts, never
+//! across layers: each lowers into its own buffer), repeats and random
 //! jumps, in both directions and with unaligned edges. Case 0 runs a real
 //! trace instead: NCF on the server NPU through every scheme kind and the
 //! lineup's MGX-64B.
@@ -27,7 +27,7 @@ use crate::ensure;
 use seda::pipeline::{dram_config_for, LoweredTrace};
 use seda_adversary::Rng;
 use seda_dram::run::expand;
-use seda_dram::DramSim;
+use seda_dram::{DramSim, RunBuf};
 use seda_models::zoo;
 use seda_protect::{
     BlockMacKind, BlockMacScheme, LayerMacStore, ProtectionScheme, SecuratorScheme, SedaScheme,
@@ -192,10 +192,10 @@ fn check_scheme(
             );
         }
     }
-    let mut flush = Vec::new();
+    let mut flush = RunBuf::new();
     scheme.finish(&mut |r| flush.push(r));
-    line_dram.run_batch(&flush);
-    run_dram.run_batch(&flush);
+    line_dram.run_batch_packed(&expand(flush.runs()).collect::<Vec<_>>());
+    run_dram.run_runs(flush.runs());
     ensure!(
         line_dram.stats() == run_dram.stats()
             && line_dram.elapsed_cycles() == run_dram.elapsed_cycles()

@@ -147,14 +147,13 @@ fn sixteen_gb_protected_region_layout_is_respected() {
     let model = zoo::lenet();
     let mut sgx = BlockMacScheme::new(BlockMacKind::Sgx, 64, PROTECTED_BYTES);
     let sim = seda::scalesim::simulate_model(&npu, &model);
-    let mut lowered = seda::dram::RunBuf::new();
-    for layer in &sim.layers {
-        for burst in &layer.bursts {
-            sgx.transform(burst, &mut lowered);
-        }
-    }
+    let lowered = seda::pipeline::LoweredTrace::lower(&sim, &mut sgx);
     let mut seen_meta = false;
-    for req in lowered.iter() {
+    for req in lowered
+        .requests()
+        .iter()
+        .map(|&p| seda::dram::Request::unpack(p))
+    {
         if req.addr >= PROTECTED_BYTES {
             seen_meta = true;
             assert!(req.addr < 2 * PROTECTED_BYTES, "metadata beyond layout");

@@ -1,7 +1,7 @@
-//! End-to-end telemetry: install the shared sink once, drive both the
-//! functional crypto path and the timing sweep path, and check that every
-//! instrumented subsystem shows up in the snapshot — the same flow
-//! `seda_cli --telemetry out.json quickstart` ships.
+//! End-to-end telemetry: install the shared sink once, drive the crypto,
+//! sweep and sealed-stream paths, and check that every instrumented
+//! subsystem shows up in the snapshot (the flow `seda_cli --telemetry
+//! out.json quickstart` ships) and every emitted name is documented.
 //!
 //! The global sink can be installed only once per process, so this file
 //! holds a single test.
@@ -11,6 +11,36 @@ use seda::models::zoo;
 use seda::scalesim::NpuConfig;
 use seda::sweep::Sweep;
 use seda::telemetry;
+use seda_adversary::ProtectConfig;
+use seda_stream::{seal, unseal, StreamSpec};
+use std::collections::BTreeSet;
+
+/// Every metric named in the first column of DESIGN.md's "Metric
+/// registry" table, with `prefix.{a,b}` expanded to `prefix.a`, `prefix.b`.
+fn documented_metrics() -> BTreeSet<String> {
+    let design = include_str!("../../DESIGN.md");
+    let after = design.split("Metric registry").nth(1);
+    let table = after
+        .and_then(|t| t.split("\n\n").nth(1))
+        .expect("a metric registry table");
+    let mut names = BTreeSet::new();
+    for row in table.lines() {
+        let first = row.split('|').nth(1).unwrap_or("");
+        for name in first.split('`').skip(1).step_by(2) {
+            let braces = name
+                .split_once('{')
+                .and_then(|(p, r)| Some((p, r.split_once('}')?)));
+            names.extend(match braces {
+                Some((prefix, (alts, suffix))) => alts
+                    .split(',')
+                    .map(|a| format!("{prefix}{a}{suffix}"))
+                    .collect(),
+                None => vec![name.to_owned()],
+            });
+        }
+    }
+    names
+}
 
 #[test]
 fn every_instrumented_subsystem_reports_through_the_shared_sink() {
@@ -31,6 +61,19 @@ fn every_instrumented_subsystem_reports_through_the_shared_sink() {
         .run();
     assert_eq!(results.stats.trace_misses, 1);
 
+    // Provisioning path: seal and unseal a small two-layer stream.
+    let spec = StreamSpec {
+        stream_id: 0xFEED,
+        key_epoch: 1,
+        config: ProtectConfig::matrix()[2],
+        lens: vec![128, 64],
+        enc_key: [1; 16],
+        mac_key: [2; 16],
+        transport_key: [3; 16],
+    };
+    let sealed = seal(&spec, &[vec![0x11; 128], vec![0x22; 64]]).expect("seal");
+    unseal(&spec, sealed.bytes()).expect("an honest stream unseals");
+
     let snap = sink.snapshot();
     for counter in [
         "crypto.aes.block_evals",
@@ -42,6 +85,8 @@ fn every_instrumented_subsystem_reports_through_the_shared_sink() {
         "scalesim.trace_cache.misses",
         "pipeline.inferences",
         "sweep.points.ok",
+        "stream.blocks_sealed",
+        "stream.unseals_completed",
     ] {
         assert!(
             snap.counter(counter).unwrap_or(0) > 0,
@@ -58,6 +103,16 @@ fn every_instrumented_subsystem_reports_through_the_shared_sink() {
             "histogram {histogram} must have samples after the end-to-end run"
         );
     }
+
+    // Every emitted name is documented; the registry is kept by hand.
+    let documented = documented_metrics();
+    let counters = snap.counters.iter().map(|(name, _)| name);
+    let emitted = counters.chain(snap.histograms.iter().map(|(name, _)| name));
+    let missing: Vec<&String> = emitted.filter(|n| !documented.contains(*n)).collect();
+    assert!(
+        missing.is_empty(),
+        "metrics missing from DESIGN.md's metric registry: {missing:?}"
+    );
 
     // The JSON export carries the stable schema tag and the two
     // top-level maps of the seda-telemetry/v1 schema.
