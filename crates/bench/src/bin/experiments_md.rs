@@ -79,7 +79,7 @@ fn main() {
     println!("fixture suite). The packed batched DRAM replay kernel (see DESIGN.md,");
     println!("\"Replay fast path\") changes only wall-clock, never results: every");
     println!("figure here is bit-identical to the exact per-access kernel, which");
-    println!("`dram_bench` and the `dram-batch` validation family re-assert on");
+    println!("`sweep_bench` and the `dram-batch` validation family re-assert on");
     println!("every CI run.");
     println!();
     println!("All values are normalized to the unprotected baseline (1.0); the");

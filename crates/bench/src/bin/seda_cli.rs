@@ -275,8 +275,8 @@ fn stream_snapshot(
         Err(e) => {
             out.push_str("  \"ok\": false,\n");
             out.push_str(&format!(
-                "  \"error\": \"{}\"\n",
-                e.to_string().replace('\\', "\\\\").replace('"', "\\\"")
+                "  \"error\": {}\n",
+                seda::telemetry::json_string(&e.to_string())
             ));
         }
     }

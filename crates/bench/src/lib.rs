@@ -37,11 +37,7 @@ pub const EXPERIMENTS: &[(&str, &str)] = &[
     ("custom_topology", "run a user CSV topology"),
     (
         "sweep_bench",
-        "sweep-engine wall-clock, trace-cache reuse, serial lowering pass",
-    ),
-    (
-        "dram_bench",
-        "batched vs per-access DRAM replay, identity-gated",
+        "headline matrix: engine, telemetry guard, lowering, DRAM replay",
     ),
     (
         "serve_bench",
@@ -50,10 +46,6 @@ pub const EXPERIMENTS: &[(&str, &str)] = &[
     (
         "stream_bench",
         "sealed-model provisioning GB/s, gated by a CI floor",
-    ),
-    (
-        "telemetry_overhead",
-        "guard: telemetry cost on the headline sweep",
     ),
     (
         "validate_sim",

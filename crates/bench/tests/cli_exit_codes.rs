@@ -6,7 +6,7 @@
 //! snapshot, and `seda_cli stream` must exit 3 on a malformed stream
 //! spec and 4 on a tampered block with the `seda-stream/v2` snapshot
 //! written before the nonzero exit, an unwritable output path must
-//! exit 1 without a panic, a malformed `stream_bench`, `dram_bench` or
+//! exit 1 without a panic, a malformed `stream_bench`, `sweep_bench` or
 //! `serve_bench` command line or `seda_cli run` repeat count must exit 2
 //! with a usage line, an unreadable input file must exit 1 naming it,
 //! and an unknown NPU name must exit 1. Each scenario-backed test spawns
@@ -343,16 +343,18 @@ fn malformed_stream_bench_args_exit_2_with_usage() {
 }
 
 /// The CI-gate binaries reject a missing, malformed or non-finite gate
-/// value with exit 2 and a usage line. A `nan` budget would otherwise
-/// parse and make the gate unable to fail.
+/// value, or an unknown flag, with exit 2 and a usage line before any
+/// work. A `nan` budget would otherwise parse and make the gate unable
+/// to fail.
 #[test]
 fn malformed_gate_bench_args_exit_2_with_usage() {
-    let dram = env!("CARGO_BIN_EXE_dram_bench");
+    let sweep = env!("CARGO_BIN_EXE_sweep_bench");
     let serve = env!("CARGO_BIN_EXE_serve_bench");
     for (exe, args) in [
-        (dram, &["--max-ms-per-point"][..]),
-        (dram, &["--max-ms-per-point", "fast"][..]),
-        (dram, &["--max-ms-per-point", "nan"][..]),
+        (sweep, &["--max-ms-per-point"][..]),
+        (sweep, &["--max-ms-per-point", "fast"][..]),
+        (sweep, &["--max-ms-per-point", "nan"][..]),
+        (sweep, &["--bogus"][..]),
         (serve, &["--max-ms"][..]),
         (serve, &["--max-ms", "inf"][..]),
         (serve, &["--requests", "many"][..]),

@@ -1007,7 +1007,7 @@ mod batch_tests {
 
     #[test]
     fn singleton_heavy_stream_is_bit_identical() {
-        // The regime BENCH_dram.json says dominates: isolated one-block
+        // The regime BENCH_sweep.json's streak histogram says dominates: isolated one-block
         // touches scattered over rows and directions, so the short-streak
         // step sees nothing but singletons.
         let cfg = DramConfig::server();

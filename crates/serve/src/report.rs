@@ -7,7 +7,7 @@
 
 use crate::spec::{ServeSetup, SimOutcome};
 use seda::scenario::ServeExpectation;
-use seda_telemetry::HistogramSnapshot;
+use seda_telemetry::{json_string, HistogramSnapshot};
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -276,9 +276,9 @@ impl ServeReport {
         let mut o = String::new();
         let _ = writeln!(o, "{{");
         let _ = writeln!(o, "  \"schema\": \"{SCHEMA}\",");
-        let _ = writeln!(o, "  \"scenario\": \"{}\",", escape(&self.scenario));
-        let _ = writeln!(o, "  \"npu\": \"{}\",", escape(&self.npu));
-        let _ = writeln!(o, "  \"scheduler\": \"{}\",", escape(&self.scheduler));
+        let _ = writeln!(o, "  \"scenario\": {},", json_string(&self.scenario));
+        let _ = writeln!(o, "  \"npu\": {},", json_string(&self.npu));
+        let _ = writeln!(o, "  \"scheduler\": {},", json_string(&self.scheduler));
         let _ = writeln!(o, "  \"seed\": {},", self.seed);
         let _ = writeln!(o, "  \"replicas\": {},", self.replicas);
         let _ = writeln!(o, "  \"max_batch\": {},", self.max_batch);
@@ -301,7 +301,7 @@ impl ServeReport {
         for (i, t) in self.tenants.iter().enumerate() {
             let comma = if i + 1 < self.tenants.len() { "," } else { "" };
             let _ = writeln!(o, "    {{");
-            let _ = writeln!(o, "      \"name\": \"{}\",", escape(&t.name));
+            let _ = writeln!(o, "      \"name\": {},", json_string(&t.name));
             let _ = writeln!(o, "      \"key_id\": \"{:016x}\",", t.key_id);
             let _ = writeln!(o, "      \"completed\": {},", t.completed);
             let _ = writeln!(
@@ -340,7 +340,7 @@ impl ServeReport {
             for (i, s) in self.swaps.iter().enumerate() {
                 let comma = if i + 1 < self.swaps.len() { "," } else { "" };
                 let _ = writeln!(o, "    {{");
-                let _ = writeln!(o, "      \"tenant\": \"{}\",", escape(&s.tenant));
+                let _ = writeln!(o, "      \"tenant\": {},", json_string(&s.tenant));
                 let _ = writeln!(o, "      \"key_id\": \"{:016x}\",", s.key_id);
                 let _ = writeln!(o, "      \"blocks\": {},", s.blocks);
                 let _ = writeln!(o, "      \"requested_ms\": {:.6},", s.requested_ms);
@@ -407,10 +407,6 @@ impl ServeReport {
         }
         out
     }
-}
-
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 #[cfg(test)]
@@ -498,6 +494,17 @@ mod tests {
             "{}",
             r.render()
         );
+    }
+
+    /// Scenario validation accepts any non-empty tenant name, so control
+    /// characters must be escaped, never written raw (RFC 8259).
+    #[test]
+    fn snapshot_escapes_control_characters_in_names() {
+        let mut r = sample_report();
+        r.tenants[0].name = "a\tb\"c".to_owned();
+        let a = r.snapshot_json();
+        assert!(a.contains(r#""name": "a\tb\"c","#), "{a}");
+        assert!(!a.contains('\t'), "raw tab in snapshot: {a}");
     }
 
     #[test]

@@ -308,11 +308,14 @@ fn bad(reason: String) -> SedaError {
     SedaError::Scenario(ScenarioError::BadSpec { reason })
 }
 
-/// Region lengths for a tenant's sealed image — the shared
-/// [`seda_stream::model_lens`] geometry, so at-rest tenant seals and
-/// streamed swap images agree on layout.
-fn seal_lens(model: &seda_models::Model) -> Vec<usize> {
-    seda_stream::model_lens(model)
+/// A `len`-byte plaintext payload, filled 8 bytes per `rng` draw.
+fn payload(rng: &mut Rng, len: usize) -> Vec<u8> {
+    let mut data = vec![0u8; len];
+    for chunk in data.chunks_mut(8) {
+        let w = rng.next_u64().to_le_bytes();
+        chunk.copy_from_slice(&w[..chunk.len()]);
+    }
+    data
 }
 
 fn seal_tenant(
@@ -328,16 +331,14 @@ fn seal_tenant(
     // layer-granularity MACs, position-bound binding, per-model pads,
     // and the on-chip model root.
     let config = ProtectConfig::matrix()[2];
-    let lens = seal_lens(model);
+    // Tenant seals and streamed swap images share the stream geometry,
+    // so they agree on layout.
+    let lens = seda_stream::model_lens(model);
     let mut image = ProtectedImage::new(config, &lens, enc_key, mac_key)?;
     let mut payload_rng = Rng::for_stream(seed, STREAM_PAYLOADS + index as u64);
     let mut payloads = Vec::with_capacity(lens.len());
-    for (layer, len) in lens.iter().enumerate() {
-        let mut data = vec![0u8; *len];
-        for chunk in data.chunks_mut(8) {
-            let w = payload_rng.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&w[..chunk.len()]);
-        }
+    for (layer, &len) in lens.iter().enumerate() {
+        let data = payload(&mut payload_rng, len);
         image.write_layer(layer, &data)?;
         payloads.push(data);
     }
@@ -368,7 +369,7 @@ fn seal_swap(
         // so a replayed pre-swap stream is typed stale, not accepted.
         key_epoch: 2,
         config: ProtectConfig::matrix()[2],
-        lens: seal_lens(model),
+        lens: seda_stream::model_lens(model),
         enc_key: key_rng.block(),
         mac_key: key_rng.block(),
         transport_key: key_rng.block(),
@@ -377,14 +378,7 @@ fn seal_swap(
     let payloads: Vec<Vec<u8>> = stream_spec
         .lens
         .iter()
-        .map(|&len| {
-            let mut data = vec![0u8; len];
-            for chunk in data.chunks_mut(8) {
-                let w = payload_rng.next_u64().to_le_bytes();
-                chunk.copy_from_slice(&w[..chunk.len()]);
-            }
-            data
-        })
+        .map(|&len| payload(&mut payload_rng, len))
         .collect();
     let stream = seda_stream::seal(&stream_spec, &payloads)?;
     let image = seda_stream::unseal(&stream_spec, stream.bytes())?;
@@ -549,9 +543,12 @@ mod tests {
     use seda_models::zoo;
 
     #[test]
-    fn seal_lens_are_block_aligned_and_bounded() {
+    fn tenant_seals_use_block_aligned_model_lens() {
         let model = zoo::lenet();
-        let lens = seal_lens(&model);
+        let lens = seda_stream::model_lens(&model);
+        let seal = seal_tenant(7, 0, &model).expect("seal");
+        let sealed: Vec<usize> = seal.payloads.iter().map(Vec::len).collect();
+        assert_eq!(sealed, lens);
         assert_eq!(lens.len(), model.layers().len());
         for len in lens {
             assert!((64..=4096 + 63).contains(&len), "{len}");

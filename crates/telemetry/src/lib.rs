@@ -44,7 +44,7 @@ mod span;
 
 pub use histogram::{AtomicHistogram, Histogram, HistogramSnapshot, BUCKETS};
 pub use sink::{NoopSink, SharedSink, Sink};
-pub use snapshot::{Snapshot, SCHEMA};
+pub use snapshot::{json_string, Snapshot, SCHEMA};
 pub use span::Span;
 
 use std::sync::atomic::{AtomicBool, Ordering};

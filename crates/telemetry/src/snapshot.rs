@@ -109,8 +109,9 @@ impl Snapshot {
     }
 }
 
-/// Quotes and escapes `s` as a JSON string literal.
-fn json_string(s: &str) -> String {
+/// Quotes and escapes `s` as a JSON string literal (RFC 8259: `"`, `\`
+/// and every control character are escaped).
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

@@ -57,19 +57,11 @@ for src in crates/bench/src/bin/*.rs; do
       run cargo run --quiet --release -p seda-bench --bin sweep_bench -- \
         "$tmp/BENCH_sweep.json"
       ;;
-    dram_bench)
-      run cargo run --quiet --release -p seda-bench --bin dram_bench -- \
-        "$tmp/BENCH_dram.json"
-      ;;
     serve_bench)
       # A trimmed request count keeps the smoke run short; the CI perf
       # step runs the full 100k-request spec separately.
       run cargo run --quiet --release -p seda-bench --bin serve_bench -- \
         "$tmp/BENCH_serve.json" --requests 10000
-      ;;
-    telemetry_overhead)
-      run cargo run --quiet --release -p seda-bench --bin telemetry_overhead -- \
-        "$tmp/BENCH_telemetry.json"
       ;;
     *)
       run cargo run --quiet --release -p seda-bench --bin "$name"
