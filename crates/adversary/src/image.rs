@@ -173,15 +173,6 @@ impl ProtectedImage {
         self.bytes.len()
     }
 
-    fn block_tag(&self, ct: &[u8], pa: u64, vn: u64, layer: u32, blk: u32) -> MacTag {
-        match self.config.binding {
-            Binding::PositionBound => self.mac.tag(ct, pa, vn, BlockPosition::new(layer, 0, blk)),
-            // Ciphertext-only: no address, version, or position enters the
-            // MAC — the weakness the splice/replay rows demonstrate.
-            Binding::CiphertextOnly => self.mac.tag(ct, 0, 0, BlockPosition::default()),
-        }
-    }
-
     fn check_layer(&self, layer: usize, len: usize) -> Result<(), SedaError> {
         if layer >= self.lens.len() {
             return Err(SedaError::InvalidSpec {
@@ -240,14 +231,37 @@ impl ProtectedImage {
     }
 
     /// The optBlk MACs of the ciphertext now resident in `layer`, under
-    /// the layer's current VN.
+    /// the layer's current VN, computed four blocks at a time
+    /// ([`PositionBoundMac::tag4`]).
     fn resident_tags(&self, layer: usize) -> Vec<MacTag> {
         let (vn, pa0) = (self.vns[layer], self.pas[layer]);
-        self.bytes[self.region(layer)]
-            .chunks(BLOCK)
-            .enumerate()
-            .map(|(i, ct)| self.block_tag(ct, pa0 + (i * BLOCK) as u64, vn, layer as u32, i as u32))
-            .collect()
+        // The `(pa, vn, position)` block `i` binds.
+        let binding = |i: usize| match self.config.binding {
+            Binding::PositionBound => (
+                pa0 + (i * BLOCK) as u64,
+                vn,
+                BlockPosition::new(layer as u32, 0, i as u32),
+            ),
+            // Ciphertext-only: no address, version, or position enters the
+            // MAC — the weakness the splice/replay rows demonstrate.
+            Binding::CiphertextOnly => (0, 0, BlockPosition::default()),
+        };
+        let ct = &self.bytes[self.region(layer)];
+        let mut tags = Vec::with_capacity(ct.len() / BLOCK);
+        let quads = ct.chunks_exact(4 * BLOCK);
+        let tail = quads.remainder();
+        for quad in quads {
+            let first = tags.len();
+            tags.extend(self.mac.tag4(std::array::from_fn(|l| {
+                let (pa, vn, pos) = binding(first + l);
+                (&quad[l * BLOCK..(l + 1) * BLOCK], pa, vn, pos)
+            })));
+        }
+        for blk in tail.chunks(BLOCK) {
+            let (pa, vn, pos) = binding(tags.len());
+            tags.push(self.mac.tag(blk, pa, vn, pos));
+        }
+        tags
     }
 
     /// The storage-MAC update both write paths share: tags the resident

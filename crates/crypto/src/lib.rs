@@ -13,7 +13,9 @@
 //!   (SeDA's single-engine bandwidth-aware mechanism, Algorithm 1).
 //! * [`sha256`] — SHA-256 and HMAC-SHA-256, the hash behind block MACs,
 //!   with a keyed [`HmacSha256`](sha256::HmacSha256) context that derives
-//!   the key's inner and outer midstates once per key, not once per tag.
+//!   the key's inner and outer midstates once per key, not once per tag,
+//!   and tags four equal-length messages at once over a four-lane
+//!   compression ([`mac4`](sha256::HmacSha256::mac4)).
 //! * [`mac`] — truncated 64-bit block MACs, with and without position
 //!   binding, and the XOR-fold used for layer/model MACs (Algorithm 2).
 //!

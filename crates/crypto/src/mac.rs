@@ -8,7 +8,7 @@
 //! zeroed it hashes the ciphertext alone — the construction Securator-style
 //! layer checks rely on, whose XOR fold RePA defeats.
 
-use crate::sha256::HmacSha256;
+use crate::sha256::{HmacSha256, BLOCK_BYTES};
 
 /// MAC width assumed throughout the evaluation (8 B MAC per block).
 pub const MAC_BYTES: usize = 8;
@@ -153,14 +153,50 @@ impl PositionBoundMac {
 
     /// MACs a ciphertext block bound to address, version, and position.
     pub fn tag(&self, blk: &[u8], pa: u64, vn: u64, pos: BlockPosition) -> MacTag {
-        let mut binding = [0u8; 28];
-        binding[..8].copy_from_slice(&pa.to_be_bytes());
-        binding[8..16].copy_from_slice(&vn.to_be_bytes());
-        binding[16..20].copy_from_slice(&pos.layer_id.to_be_bytes());
-        binding[20..24].copy_from_slice(&pos.fmap_idx.to_be_bytes());
-        binding[24..].copy_from_slice(&pos.blk_idx.to_be_bytes());
-        truncate(&self.hmac.mac(&[blk, &binding]))
+        truncate(&self.hmac.mac(&[blk, &binding(pa, vn, pos)]))
     }
+
+    /// Four tags at once, one per `(blk, pa, vn, pos)` argument tuple of
+    /// [`tag`](Self::tag), over one four-lane HMAC
+    /// ([`HmacSha256::mac4`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the four blocks differ in length.
+    pub fn tag4(&self, blocks: [(&[u8], u64, u64, BlockPosition); 4]) -> [MacTag; 4] {
+        let bindings = blocks.map(|(_, pa, vn, pos)| binding(pa, vn, pos));
+        let parts: [[&[u8]; 2]; 4] = std::array::from_fn(|l| [blocks[l].0, &bindings[l]]);
+        self.hmac
+            .mac4(parts.each_ref().map(|p| &p[..]))
+            .map(|d| truncate(&d))
+    }
+
+    /// This engine with `block` absorbed as the start of every block it
+    /// tags: `self.absorb(b).tag(rest, ..)` equals `self.tag` over `b`
+    /// followed by `rest`.
+    pub fn absorb(&self, block: &[u8; BLOCK_BYTES]) -> Self {
+        Self {
+            hmac: self.hmac.absorb(block),
+        }
+    }
+
+    /// [`absorb`](Self::absorb) of four blocks at once, over one
+    /// four-lane compression.
+    pub fn absorb4(&self, blocks: [&[u8; BLOCK_BYTES]; 4]) -> [Self; 4] {
+        self.hmac.absorb4(blocks).map(|hmac| Self { hmac })
+    }
+}
+
+/// The 28 bytes a position-bound tag binds after the block:
+/// `PA || VN || layer_id || fmap_idx || blk_idx`, big-endian.
+fn binding(pa: u64, vn: u64, pos: BlockPosition) -> [u8; 28] {
+    let mut binding = [0u8; 28];
+    binding[..8].copy_from_slice(&pa.to_be_bytes());
+    binding[8..16].copy_from_slice(&vn.to_be_bytes());
+    binding[16..20].copy_from_slice(&pos.layer_id.to_be_bytes());
+    binding[20..24].copy_from_slice(&pos.fmap_idx.to_be_bytes());
+    binding[24..].copy_from_slice(&pos.blk_idx.to_be_bytes());
+    binding
 }
 
 /// XOR-folds a sequence of block tags into a single aggregate tag.
@@ -258,6 +294,41 @@ mod tests {
         assert_ne!(base, mac.tag(b"data", 1, 2, BlockPosition::new(9, 4, 5)));
         assert_ne!(base, mac.tag(b"data", 1, 2, BlockPosition::new(3, 9, 5)));
         assert_ne!(base, mac.tag(b"data", 1, 2, BlockPosition::new(3, 4, 9)));
+    }
+
+    #[test]
+    fn tag4_and_absorb_match_scalar_tags() {
+        let mac = PositionBoundMac::new([5u8; 16]);
+        let blocks: [[u8; 64]; 4] = std::array::from_fn(|l| [l as u8 * 17 + 1; 64]);
+        let at = |l: usize| {
+            (
+                0x40 * l as u64,
+                l as u64 + 1,
+                BlockPosition::new(2, 0, l as u32),
+            )
+        };
+        let want: [MacTag; 4] = std::array::from_fn(|l| {
+            let (pa, vn, pos) = at(l);
+            mac.tag(&blocks[l], pa, vn, pos)
+        });
+        let quad = std::array::from_fn(|l| {
+            let (pa, vn, pos) = at(l);
+            (&blocks[l][..], pa, vn, pos)
+        });
+        assert_eq!(mac.tag4(quad), want);
+        // An absorbed block is the start of the tagged block.
+        let absorbed = mac.absorb4(blocks.each_ref());
+        for (l, engine) in absorbed.iter().enumerate() {
+            let mut long = blocks[l].to_vec();
+            long.extend_from_slice(b"tail");
+            let want = mac.tag(&long, 7, 8, BlockPosition::new(1, 2, 3));
+            assert_eq!(engine.tag(b"tail", 7, 8, BlockPosition::new(1, 2, 3)), want);
+            assert_eq!(
+                mac.absorb(&blocks[l])
+                    .tag(b"tail", 7, 8, BlockPosition::new(1, 2, 3)),
+                want
+            );
+        }
     }
 
     #[test]

@@ -1,18 +1,31 @@
 //! The event-driven simulation kernel.
 //!
-//! A monotone virtual clock and two event sources. A binary heap holds
-//! the events that are scheduled while the run goes on, ordered by
-//! `(time, rank, tie, seq)`: rank 0 layer-done events tie-broken by NPU
-//! index, rank 1 closed-loop arrivals tie-broken by issue id, rank 2
-//! swap-due events tie-broken by declaration index. Open-loop arrivals
-//! are known up front and already sorted by `(cycle, id)`, so they stay
-//! in their trace and a cursor walks it. Each cycle takes the heap's
-//! layer-dones, then the cursor's arrivals, then the heap's remaining
-//! events, which yields exactly the shared phase order of
-//! [`sched`](crate::sched) while the heap stays as small as the number
-//! of replicas, swaps and clients. No wall clock appears anywhere;
-//! identical specs produce identical outcomes on any machine, thread
-//! count, or re-run.
+//! A monotone virtual clock and three event sources. Each NPU holds the
+//! cycle its running batch finishes the current layer (`due`,
+//! `u64::MAX` when idle). Open-loop arrivals are known up front and
+//! already sorted by `(cycle, id)`, so they stay in their trace and a
+//! cursor walks it. A binary heap holds only closed-loop arrivals and
+//! swap-dues, ordered by `(time, rank, tie, seq)`: rank 1 arrivals
+//! tie-broken by issue id, rank 2 swap-dues by declaration index. Each
+//! cycle scans the NPUs for boundaries in index order, then takes the
+//! cursor's arrivals, then the heap's events, which yields exactly the
+//! shared phase order of [`sched`](crate::sched) while the heap stays as
+//! small as the number of clients and swaps.
+//!
+//! **Quiet runs.** A layer boundary at cycle `t` is *quiet* when `t` is
+//! strictly before every other NPU's boundary, the next open-loop
+//! arrival and the heap top; its batch continues past the layer; and,
+//! under preemptive EDF, [`should_preempt`](SchedState::should_preempt)
+//! is false. The queues, the preempted pool and the in-flight set cannot
+//! change between quiet boundaries, so cutover and dispatch would be
+//! no-ops there. A run of quiet boundaries is applied in one loop: each
+//! still counts its event, charges its busy time, steps its batch and
+//! samples the queues, and the loop stops before the first boundary that
+//! is not quiet. Queue depths are sampled run-length
+//! ([`Metrics::sample_runs`]).
+//!
+//! No wall clock appears anywhere; identical specs produce identical
+//! outcomes on any machine, thread count, or re-run.
 
 use crate::arrivals::{open_loop_trace, Arrival};
 use crate::sched::{Batch, Clients, Metrics, QueuedReq, SchedState};
@@ -20,9 +33,9 @@ use crate::spec::{ArrivalSim, Scheduler, SimOutcome, SimSpec};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// One scheduled event. `Ord` is the heap contract: time, then rank
-/// (layer-done before arrival), then tie (NPU index or issue id), then
-/// seq — a total order, so heap pops are deterministic.
+/// One scheduled heap event. `Ord` is the heap contract: time, then
+/// rank (arrival before swap-due), then tie (issue id or swap index),
+/// then seq — a total order, so heap pops are deterministic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Event {
     time: u64,
@@ -34,8 +47,6 @@ struct Event {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum EventKind {
-    /// The running batch on this NPU finishes its current layer.
-    LayerDone { npu: usize },
     /// A closed-loop request arrives.
     Arrival { tenant: usize, client: Option<u32> },
     /// A scheduled hot model-swap becomes due.
@@ -51,6 +62,11 @@ struct Engine<'a> {
     trace: Vec<Arrival>,
     cursor: usize,
     npus: Vec<Option<Batch>>,
+    /// Per NPU: the cycle its batch finishes the current layer, or
+    /// `u64::MAX` when idle.
+    due: Vec<u64>,
+    /// Whether the scheduler is preemptive EDF.
+    preempt: bool,
     state: SchedState,
     metrics: Metrics,
     clients: Option<Clients>,
@@ -76,19 +92,17 @@ impl Engine<'_> {
         }));
     }
 
-    fn push_layer_done(&mut self, npu: usize, at: u64) {
-        self.heap.push(Reverse(Event {
-            time: at,
-            rank: 0,
-            tie: npu as u64,
-            seq: 0,
-            kind: EventKind::LayerDone { npu },
-        }));
+    /// Puts `batch` on `npu`, finishing its current layer at `now` plus
+    /// the layer's duration.
+    fn run_on(&mut self, npu: usize, batch: Batch, now: u64) {
+        self.due[npu] = now + batch.current_layer();
+        self.npus[npu] = Some(batch);
     }
 
     /// Phase-A handling of one layer boundary on `npu` at cycle `now`.
     fn layer_done(&mut self, npu: usize, now: u64) {
         self.metrics.event();
+        self.due[npu] = u64::MAX;
         let mut batch = self.npus[npu].take().expect("layer-done on an idle NPU");
         self.metrics.busy(npu, batch.current_layer());
         batch.next_layer += 1;
@@ -110,14 +124,10 @@ impl Engine<'_> {
                     self.push_arrival(a);
                 }
             }
-        } else if matches!(self.spec.scheduler, Scheduler::Edf { preempt: true })
-            && self.state.should_preempt(&batch)
-        {
+        } else if self.preempt && self.state.should_preempt(&batch) {
             self.state.park(batch);
         } else {
-            let at = now + batch.current_layer();
-            self.npus[npu] = Some(batch);
-            self.push_layer_done(npu, at);
+            self.run_on(npu, batch, now);
         }
     }
 
@@ -170,60 +180,102 @@ impl Engine<'_> {
             let Some(batch) = self.state.dispatch(self.spec) else {
                 break;
             };
-            let at = now + batch.current_layer();
-            self.npus[npu] = Some(batch);
-            self.push_layer_done(npu, at);
+            self.run_on(npu, batch, now);
         }
     }
 
-    /// Pops the next heap event at cycle `now` of rank `rank` or less.
-    fn pop_due(&mut self, now: u64, rank: u8) -> Option<Event> {
+    /// Pops the next heap event at cycle `now`.
+    fn pop_due(&mut self, now: u64) -> Option<Event> {
         let &Reverse(ev) = self.heap.peek()?;
-        if ev.time != now || ev.rank > rank {
+        if ev.time != now {
             return None;
         }
         self.heap.pop();
         Some(ev)
     }
 
-    fn handle(&mut self, ev: Event, now: u64) {
-        match ev.kind {
-            EventKind::LayerDone { npu } => self.layer_done(npu, now),
-            EventKind::Arrival { tenant, client } => self.arrive(tenant, ev.seq, client, now),
-            EventKind::SwapDue { swap } => {
-                self.metrics.event();
-                self.swap_pending[swap] = true;
+    /// The earliest open-loop arrival or heap event, `u64::MAX` when
+    /// neither source holds one.
+    fn next_non_boundary(&self) -> u64 {
+        let next_event = self.heap.peek().map_or(u64::MAX, |Reverse(ev)| ev.time);
+        let next_arrival = self.trace.get(self.cursor).map_or(u64::MAX, |a| a.cycle);
+        next_event.min(next_arrival)
+    }
+
+    /// Applies the run of quiet layer boundaries (module docs) that
+    /// starts at the next event, if any. Arrivals and heap events cannot
+    /// appear during the run, so their next cycle is read once.
+    fn quiet_run(&mut self) {
+        let limit = self.next_non_boundary();
+        loop {
+            // The earliest boundary, on the lowest NPU index, and
+            // whether another NPU's boundary falls in the same cycle.
+            let mut npu = 0;
+            let mut tied = false;
+            for (i, &due) in self.due.iter().enumerate().skip(1) {
+                if due < self.due[npu] {
+                    (npu, tied) = (i, false);
+                } else if due == self.due[npu] {
+                    tied = true;
+                }
             }
+            let now = self.due[npu];
+            if tied || now >= limit {
+                return;
+            }
+            let batch = self.npus[npu].as_mut().expect("a due boundary has a batch");
+            if batch.next_layer + 1 == batch.layers.len()
+                || (self.preempt && self.state.should_preempt(batch))
+            {
+                return;
+            }
+            self.metrics.event();
+            self.metrics.busy(npu, batch.current_layer());
+            batch.next_layer += 1;
+            self.due[npu] = now + batch.current_layer();
+            self.metrics.resample(now);
         }
     }
 
     fn run(mut self) -> SimOutcome {
         while self.completed < self.total {
-            let next_event = self.heap.peek().map(|Reverse(ev)| ev.time);
-            let next_arrival = self.trace.get(self.cursor).map(|a| a.cycle);
-            let Some(now) = next_event.into_iter().chain(next_arrival).min() else {
+            self.quiet_run();
+            let next_boundary = self.due.iter().copied().min().unwrap_or(u64::MAX);
+            let now = next_boundary.min(self.next_non_boundary());
+            if now == u64::MAX {
                 // Nothing can make progress; only reachable through a
                 // spec whose arrival process issues fewer requests than
                 // `total`, which the generators rule out.
                 break;
-            };
-            // Everything pushed while a cycle is processed lands strictly
-            // later, so the three phases below see the whole cycle:
-            // layer-dones by NPU index, then open-loop arrivals by issue
-            // id, then closed-loop arrivals and swap-dues.
-            while let Some(ev) = self.pop_due(now, 0) {
-                self.handle(ev, now);
+            }
+            // Everything scheduled while a cycle is processed lands
+            // strictly later, so the three phases below see the whole
+            // cycle: layer boundaries by NPU index, then open-loop
+            // arrivals by issue id, then closed-loop arrivals and
+            // swap-dues.
+            for npu in 0..self.due.len() {
+                if self.due[npu] == now {
+                    self.layer_done(npu, now);
+                }
             }
             while let Some(&a) = self.trace.get(self.cursor).filter(|a| a.cycle == now) {
                 self.cursor += 1;
                 self.arrive(a.tenant, a.id, a.client, now);
             }
-            while let Some(ev) = self.pop_due(now, 2) {
-                self.handle(ev, now);
+            while let Some(ev) = self.pop_due(now) {
+                match ev.kind {
+                    EventKind::Arrival { tenant, client } => {
+                        self.arrive(tenant, ev.seq, client, now);
+                    }
+                    EventKind::SwapDue { swap } => {
+                        self.metrics.event();
+                        self.swap_pending[swap] = true;
+                    }
+                }
             }
             self.cutover(now);
             self.dispatch(now);
-            self.metrics.sample(now, &self.state);
+            self.metrics.sample_runs(now, &self.state);
         }
         self.metrics.finish()
     }
@@ -235,7 +287,8 @@ impl Engine<'_> {
 ///
 /// Panics on structurally invalid specs (zero replicas or tenants, an
 /// empty layer profile) — [`build`](crate::spec::build) and the oracle
-/// generators never produce those.
+/// generators never produce those. Both also keep every layer at one
+/// cycle or more, which the boundary arithmetic relies on.
 pub fn simulate(spec: &SimSpec) -> SimOutcome {
     assert!(spec.replicas > 0, "need at least one replica");
     assert!(spec.max_batch > 0, "need a positive batch limit");
@@ -246,6 +299,8 @@ pub fn simulate(spec: &SimSpec) -> SimOutcome {
         trace: Vec::new(),
         cursor: 0,
         npus: (0..spec.replicas).map(|_| None).collect(),
+        due: vec![u64::MAX; spec.replicas as usize],
+        preempt: matches!(spec.scheduler, Scheduler::Edf { preempt: true }),
         state: SchedState::new(spec),
         metrics: Metrics::new(spec.tenants.len(), spec.replicas as usize),
         clients: None,
@@ -541,6 +596,94 @@ mod tests {
             (0, a1 + 40)
         );
         assert_eq!(out.swaps[0].cutover, a1);
+    }
+
+    #[test]
+    fn two_boundaries_and_an_arrival_in_one_cycle_match_the_reference() {
+        use crate::reference::simulate_stepped;
+        let mk = |seed, first: [u64; 2]| SimSpec {
+            seed,
+            scheduler: Scheduler::Edf { preempt: true },
+            replicas: 2,
+            max_batch: 1,
+            tenants: vec![
+                tenant("a", vec![first[0], 30, 30], Some(400), 1),
+                tenant("b", vec![first[1], 30], Some(300), 1),
+            ],
+            arrival: ArrivalSim::OpenLoop {
+                mean_cycles: 200.0,
+                requests: 30,
+                burst: None,
+                diurnal: None,
+            },
+            swaps: vec![],
+        };
+        // A seed whose first three arrivals are for "a", then "b", then
+        // anyone, at strictly increasing cycles.
+        let (seed, t) = (1..)
+            .find_map(|seed| {
+                let t = open_loop_trace(&mk(seed, [1, 1]));
+                let ordered = t[0].cycle < t[1].cycle && t[1].cycle < t[2].cycle;
+                (ordered && t[0].tenant == 0 && t[1].tenant == 1).then_some((seed, t))
+            })
+            .expect("a seed with that arrival order");
+        // Requests 0 and 1 start on idle replicas 0 and 1 at their
+        // arrivals, so both first layers end at request 2's arrival.
+        let at = t[2].cycle;
+        let spec = mk(seed, [at - t[0].cycle, at - t[1].cycle]);
+        let out = simulate(&spec);
+        assert_eq!(out, simulate_stepped(&spec));
+        let sampled = |cycle| out.queue_trace.iter().filter(|&&(c, _)| c == cycle).count();
+        assert_eq!(sampled(at), 1, "one active cycle holds all three events");
+        let done = |id| out.completions.iter().find(|c| c.id == id).expect("done");
+        assert_eq!(done(0).completion, at + 60, "request 0 ran on");
+        assert_eq!(done(1).completion, at + 30, "request 1 ran on");
+    }
+
+    #[test]
+    fn a_swap_due_cuts_a_quiet_run_short_and_matches_the_reference() {
+        use crate::reference::simulate_stepped;
+        use crate::spec::SwapSim;
+        let mk = |swaps| SimSpec {
+            seed: 4,
+            scheduler: Scheduler::Edf { preempt: true },
+            replicas: 1,
+            max_batch: 1,
+            tenants: vec![tenant("a", vec![10; 10], Some(500), 1)],
+            arrival: ArrivalSim::OpenLoop {
+                mean_cycles: 5000.0,
+                requests: 4,
+                burst: None,
+                diurnal: None,
+            },
+            swaps,
+        };
+        let a0 = open_loop_trace(&mk(vec![]))[0].cycle;
+        // Request 0 runs ten 10-cycle layers from `a0` with nothing else
+        // due: its inner boundaries form one quiet run. A swap-due
+        // between two boundaries, or on one, ends that run there.
+        for offset in [25, 30] {
+            let spec = mk(vec![SwapSim {
+                tenant: 0,
+                at_cycle: a0 + offset,
+                profiles: vec![vec![5]],
+            }]);
+            let out = simulate(&spec);
+            assert_eq!(out, simulate_stepped(&spec), "swap at a0 + {offset}");
+            let cycles: Vec<u64> = out
+                .queue_trace
+                .iter()
+                .map(|&(c, _)| c)
+                .filter(|c| (a0..=a0 + 100).contains(c))
+                .collect();
+            let mut want: Vec<u64> = (0..=10).map(|k| a0 + 10 * k).collect();
+            if offset % 10 != 0 {
+                want.insert(3, a0 + offset);
+            }
+            assert_eq!(cycles, want, "swap at a0 + {offset}");
+            // The tenant drains when request 0 completes.
+            assert_eq!(out.swaps[0].cutover, a0 + 100);
+        }
     }
 
     #[test]

@@ -18,10 +18,11 @@
 //! - [`arrivals`] generates seeded open-loop Poisson traffic (with
 //!   deterministic burst/diurnal modulation) or closed-loop client
 //!   populations with exponential think times.
-//! - [`kernel::simulate`] is the event-driven kernel: a binary-heap
-//!   queue with stable tie-breaking for the events scheduled during the
-//!   run, and a cursor over the pre-generated open-loop arrivals,
-//!   execute the shared per-cycle phase contract of [`sched`].
+//! - [`kernel::simulate`] is the event-driven kernel: per-NPU layer
+//!   boundary slots, a cursor over the pre-generated open-loop arrivals,
+//!   and a binary heap with stable tie-breaking for closed-loop arrivals
+//!   and swap-dues execute the shared per-cycle phase contract of
+//!   [`sched`]; runs of quiet layer boundaries skip the phase machinery.
 //! - [`reference::simulate_stepped`] is the brute-force 1-cycle
 //!   time-stepped kernel the differential serving oracle replays the
 //!   same specs through, requiring bit-identical [`SimOutcome`]s.

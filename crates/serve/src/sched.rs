@@ -3,9 +3,12 @@
 //! The event-driven kernel and the brute-force time-stepped reference
 //! must agree bit-for-bit, so the *policy* — queue discipline, batch
 //! formation, preemption predicate, metric recording — lives here once,
-//! and each kernel supplies only its own notion of time: a heap with
-//! `(time, rank, tie, seq)` ordering plus a cursor over the open-loop
-//! arrival trace on one side, literal 1-cycle stepping on the other. The shared per-cycle contract both uphold:
+//! and each kernel supplies only its own notion of time. The event
+//! kernel keeps each NPU's next layer boundary in a per-NPU slot, walks
+//! the open-loop arrival trace with a cursor, and heaps only closed-loop
+//! arrivals and swap-dues in `(time, rank, tie, seq)` order; the
+//! reference steps one cycle at a time. The shared per-cycle contract
+//! both uphold:
 //!
 //! 1. **Layer-done phase** — boundaries reaching cycle `t` are handled
 //!    in NPU index order. A finished batch records completions in
@@ -26,6 +29,16 @@
 //! arrival, layer-done, or swap-due event), which both kernels can
 //! detect identically. The in-flight predicate the swap phase reads
 //! only changes on active cycles, so checking it there loses nothing.
+//!
+//! A cycle whose only event is a layer boundary after which the batch
+//! runs on changes no queue, pool or in-flight set: its swap and
+//! dispatch phases are no-ops. The event kernel applies runs of such
+//! *quiet* boundaries without the phase machinery (see
+//! [`kernel`](crate::kernel)), and it records queue depths run-length
+//! ([`Metrics::sample_runs`], [`Metrics::resample`]); the reference
+//! records one sample per tenant per active cycle
+//! ([`Metrics::sample`]), so the `serving` family checks one against
+//! the other.
 
 use crate::spec::{Completion, Scheduler, SimOutcome, SimSpec, SwapOutcome};
 use seda_telemetry::Histogram;
@@ -243,6 +256,9 @@ pub struct Metrics {
     queue_trace: Vec<(u64, u64)>,
     latency: Vec<Histogram>,
     queue_depth: Vec<Histogram>,
+    /// Per-tenant `(depth, samples)` run not yet recorded into
+    /// `queue_depth`: the event kernel samples run-length.
+    depth_runs: Vec<(u64, u64)>,
     busy: Vec<u64>,
     events: u64,
     end_cycle: u64,
@@ -257,6 +273,7 @@ impl Metrics {
             queue_trace: Vec::new(),
             latency: vec![Histogram::new(); tenants],
             queue_depth: vec![Histogram::new(); tenants],
+            depth_runs: vec![(0, 0); tenants],
             busy: vec![0; replicas],
             events: 0,
             end_cycle: 0,
@@ -295,7 +312,8 @@ impl Metrics {
         self.end_cycle = self.end_cycle.max(now);
     }
 
-    /// Samples queue depths after an active cycle.
+    /// Samples queue depths after an active cycle, one histogram record
+    /// per tenant: the stepped reference's form.
     pub fn sample(&mut self, now: u64, state: &SchedState) {
         self.queue_trace.push((now, state.queued_total()));
         for (tenant, q) in state.queues.iter().enumerate() {
@@ -303,8 +321,39 @@ impl Metrics {
         }
     }
 
+    /// Samples queue depths after an active cycle, run-length: a
+    /// tenant's run of equal depths reaches its histogram in one
+    /// [`Histogram::record_n`] when the depth changes, or at
+    /// [`finish`](Self::finish). The same outcome as [`sample`](Self::sample).
+    pub fn sample_runs(&mut self, now: u64, state: &SchedState) {
+        self.queue_trace.push((now, state.queued_total()));
+        for (tenant, q) in state.queues.iter().enumerate() {
+            let depth = q.len() as u64;
+            let run = &mut self.depth_runs[tenant];
+            if run.0 == depth {
+                run.1 += 1;
+            } else {
+                self.queue_depth[tenant].record_n(run.0, run.1);
+                *run = (depth, 1);
+            }
+        }
+    }
+
+    /// Repeats the last [`sample_runs`](Self::sample_runs) at cycle
+    /// `now`, for an active cycle that changed no queue.
+    pub fn resample(&mut self, now: u64) {
+        let total = self.queue_trace.last().map_or(0, |&(_, total)| total);
+        self.queue_trace.push((now, total));
+        for run in &mut self.depth_runs {
+            run.1 += 1;
+        }
+    }
+
     /// Finalizes into the comparable outcome.
-    pub fn finish(self) -> SimOutcome {
+    pub fn finish(mut self) -> SimOutcome {
+        for (hist, &(depth, n)) in self.queue_depth.iter_mut().zip(&self.depth_runs) {
+            hist.record_n(depth, n);
+        }
         SimOutcome {
             completions: self.completions,
             queue_trace: self.queue_trace,

@@ -70,31 +70,26 @@ pub(crate) fn header_mac(
 /// The chained transport MAC of one frame: the ciphertext concatenated
 /// with the previous tag in the chain, keyed to the stream id, the
 /// global sequence number, and the block's `(layer, blk)` position.
+///
+/// The ciphertext is the message's first block, so the chain does not
+/// enter it: `absorbed` is the transport engine with the frame's
+/// ciphertext already absorbed ([`PositionBoundMac::absorb`], or
+/// [`absorb4`](PositionBoundMac::absorb4) over four frames ahead of the
+/// chain), and only `prev` and the binding remain to hash here.
 pub(crate) fn frame_mac(
-    transport: &PositionBoundMac,
+    absorbed: &PositionBoundMac,
     stream_id: u64,
     seq: u64,
     layer: u32,
     blk: u32,
-    ct: &[u8],
     prev: MacTag,
 ) -> MacTag {
-    let mut msg = [0u8; BLOCK + 8];
-    msg[..BLOCK].copy_from_slice(ct);
-    msg[BLOCK..].copy_from_slice(&prev.0.to_be_bytes());
-    transport.tag(&msg, stream_id, seq, BlockPosition::new(layer, 0, blk))
-}
-
-/// Serializes one frame.
-pub(crate) fn encode_frame(seq: u64, layer: u32, blk: u32, ct: &[u8], mac: MacTag) -> Vec<u8> {
-    debug_assert_eq!(ct.len(), BLOCK);
-    let mut out = Vec::with_capacity(FRAME_BYTES);
-    out.extend_from_slice(&seq.to_be_bytes());
-    out.extend_from_slice(&layer.to_be_bytes());
-    out.extend_from_slice(&blk.to_be_bytes());
-    out.extend_from_slice(ct);
-    out.extend_from_slice(&mac.0.to_be_bytes());
-    out
+    absorbed.tag(
+        &prev.0.to_be_bytes(),
+        stream_id,
+        seq,
+        BlockPosition::new(layer, 0, blk),
+    )
 }
 
 /// Reads a big-endian u64 at `at` (caller guarantees bounds).
@@ -133,11 +128,16 @@ mod tests {
     fn frame_macs_chain_and_bind_position() {
         let transport = PositionBoundMac::new([2; 16]);
         let ct = [0x5au8; BLOCK];
-        let base = frame_mac(&transport, 1, 0, 0, 0, &ct, MacTag(7));
-        assert_ne!(base, frame_mac(&transport, 2, 0, 0, 0, &ct, MacTag(7)));
-        assert_ne!(base, frame_mac(&transport, 1, 1, 0, 0, &ct, MacTag(7)));
-        assert_ne!(base, frame_mac(&transport, 1, 0, 1, 0, &ct, MacTag(7)));
-        assert_ne!(base, frame_mac(&transport, 1, 0, 0, 1, &ct, MacTag(7)));
-        assert_ne!(base, frame_mac(&transport, 1, 0, 0, 0, &ct, MacTag(8)));
+        let absorbed = transport.absorb(&ct);
+        let base = frame_mac(&absorbed, 1, 0, 0, 0, MacTag(7));
+        assert_ne!(base, frame_mac(&absorbed, 2, 0, 0, 0, MacTag(7)));
+        assert_ne!(base, frame_mac(&absorbed, 1, 1, 0, 0, MacTag(7)));
+        assert_ne!(base, frame_mac(&absorbed, 1, 0, 1, 0, MacTag(7)));
+        assert_ne!(base, frame_mac(&absorbed, 1, 0, 0, 1, MacTag(7)));
+        assert_ne!(base, frame_mac(&absorbed, 1, 0, 0, 0, MacTag(8)));
+        // The wire tag: the transport MAC over `ct || prev`.
+        let mut msg = ct.to_vec();
+        msg.extend_from_slice(&7u64.to_be_bytes());
+        assert_eq!(base, transport.tag(&msg, 1, 0, BlockPosition::new(0, 0, 0)));
     }
 }

@@ -1,6 +1,6 @@
 //! The sealing side: turn plaintext layers into an authenticated stream.
 
-use crate::frame::{encode_frame, encode_header, frame_mac, FRAME_BYTES};
+use crate::frame::{encode_header, frame_mac, header_mac, FRAME_BYTES};
 use seda::SedaError;
 use seda_adversary::{layer_pas, Pads, ProtectConfig, BLOCK};
 use seda_crypto::mac::PositionBoundMac;
@@ -205,28 +205,35 @@ pub fn seal(spec: &StreamSpec, layers: &[Vec<u8>]) -> Result<SealedStream, SedaE
     let hlen = bytes.len();
     // The chain starts at the header MAC, so frame 0 also authenticates
     // the header it follows.
-    let mut chain = crate::frame::header_mac(
+    let mut chain = header_mac(
         &transport,
         spec.stream_id,
         spec.key_epoch,
         &bytes[..hlen - 8],
     );
+    // Frames are appended in place into the exact stream length.
+    bytes.reserve_exact(spec.total_blocks() as usize * FRAME_BYTES);
     let mut seq = 0u64;
     for (layer, plain) in layers.iter().enumerate() {
         let mut layer_ct = plain.clone();
         pads.apply_region(pas[layer], 1, &mut layer_ct);
-        for (blk, ct) in layer_ct.chunks(BLOCK).enumerate() {
-            let mac = frame_mac(
-                &transport,
-                spec.stream_id,
-                seq,
-                layer as u32,
-                blk as u32,
-                ct,
-                chain,
-            );
-            bytes.extend_from_slice(&encode_frame(seq, layer as u32, blk as u32, ct, mac));
-            chain = mac;
+        // `validate` made every region a whole number of blocks.
+        let (blocks, _) = layer_ct.as_chunks::<BLOCK>();
+        // Each ciphertext opens its frame's MAC message, so four frames
+        // absorb it at once, ahead of the chain.
+        let quads = blocks.chunks_exact(4);
+        let tail = quads.remainder();
+        let absorbed = quads
+            .flat_map(|q| transport.absorb4([&q[0], &q[1], &q[2], &q[3]]))
+            .chain(tail.iter().map(|ct| transport.absorb(ct)));
+        for ((blk, ct), engine) in blocks.iter().enumerate().zip(absorbed) {
+            let (layer, blk) = (layer as u32, blk as u32);
+            chain = frame_mac(&engine, spec.stream_id, seq, layer, blk, chain);
+            bytes.extend_from_slice(&seq.to_be_bytes());
+            bytes.extend_from_slice(&layer.to_be_bytes());
+            bytes.extend_from_slice(&blk.to_be_bytes());
+            bytes.extend_from_slice(ct);
+            bytes.extend_from_slice(&chain.0.to_be_bytes());
             seq += 1;
         }
     }

@@ -147,8 +147,25 @@ impl StreamUnsealer {
         if !self.header_done && !self.try_header()? {
             return Ok(());
         }
-        while self.try_frame()? {}
-        Ok(())
+        loop {
+            // Frames held in full and still expected. Each ciphertext
+            // opens its frame's MAC message, so four of them absorb at
+            // once ahead of the chain; the frames are then checked and
+            // verified one by one, in stream order, as without it.
+            let ready =
+                (self.available() / FRAME_BYTES).min((self.total_blocks - self.verified) as usize);
+            if ready >= 4 {
+                let cts: [&[u8; BLOCK]; 4] = std::array::from_fn(|k| {
+                    let at = self.pos + k * FRAME_BYTES + 16;
+                    self.buf[at..at + BLOCK].try_into().expect("one block")
+                });
+                for absorbed in self.transport.absorb4(cts) {
+                    self.try_frame(Some(&absorbed))?;
+                }
+            } else if !self.try_frame(None)? {
+                return Ok(());
+            }
+        }
     }
 
     /// Attempts to parse and verify the header; `Ok(false)` means more
@@ -236,8 +253,9 @@ impl StreamUnsealer {
     }
 
     /// Attempts to verify one frame; `Ok(false)` means more bytes are
-    /// needed.
-    fn try_frame(&mut self) -> Result<bool, SedaError> {
+    /// needed. `absorbed` is the transport engine with this frame's
+    /// ciphertext already absorbed, when the caller has it.
+    fn try_frame(&mut self, absorbed: Option<&PositionBoundMac>) -> Result<bool, SedaError> {
         if self.is_complete() {
             if self.available() > 0 {
                 return Err(StreamViolation::BadFrame {
@@ -272,17 +290,19 @@ impl StreamUnsealer {
             }
             .into());
         }
-        let ct = &self.buf[at + 16..at + 16 + BLOCK];
+        let ct: &[u8; BLOCK] = self.buf[at + 16..at + 16 + BLOCK]
+            .try_into()
+            .expect("one block");
         let stored = MacTag(be64(&self.buf, at + 16 + BLOCK));
-        let computed = frame_mac(
-            &self.transport,
-            self.spec.stream_id,
-            seq,
-            layer,
-            blk,
-            ct,
-            self.chain,
-        );
+        let own;
+        let absorbed = match absorbed {
+            Some(engine) => engine,
+            None => {
+                own = self.transport.absorb(ct);
+                &own
+            }
+        };
+        let computed = frame_mac(absorbed, self.spec.stream_id, seq, layer, blk, self.chain);
         computed.verify(stored).map_err(SedaError::from)?;
         self.layer_buf.extend_from_slice(ct);
         self.chain = computed;

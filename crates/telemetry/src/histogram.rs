@@ -58,6 +58,20 @@ impl Histogram {
         self.buckets[bucket(value)] += 1;
     }
 
+    /// Records `n` samples of `value` at once: the same state as `n`
+    /// calls to [`record`](Self::record), so a run of equal samples
+    /// costs one update. `n = 0` records nothing.
+    pub fn record_n(&mut self, value: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.count += n;
+        self.sum = self.sum.wrapping_add(value.wrapping_mul(n));
+        self.min = self.min.min(value);
+        self.max = self.max.max(value);
+        self.buckets[bucket(value)] += n;
+    }
+
     /// A copy of the histogram's state.
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
@@ -287,6 +301,39 @@ mod tests {
             let wrapped = samples.iter().fold(0u64, |s, &v| s.wrapping_add(v));
             assert_eq!(snap.sum, wrapped, "samples {samples:?}");
         }
+    }
+
+    #[test]
+    fn record_n_equals_n_single_records() {
+        // Each case records its runs on top of a few prior samples, so
+        // min, max and the bucket merge are exercised too.
+        let runs: [&[(u64, u64)]; 6] = [
+            &[(7, 0)],
+            &[(0, 0), (5, 3)],
+            &[(u64::MAX, 1), (u64::MAX, 4)],
+            // The sum wraps: 3 * (2^63 + 1) mod 2^64 = 2^63 + 3.
+            &[(1 << 63 | 1, 3)],
+            &[(0, 5), (1, 1), (1024, 9), (3, 0)],
+            &[(u64::MAX - 1, 2), (2, 7)],
+        ];
+        for case in runs {
+            let mut batched = Histogram::new();
+            let mut single = Histogram::new();
+            for h in [&mut batched, &mut single] {
+                h.record(9);
+                h.record(40);
+            }
+            for &(value, n) in case {
+                batched.record_n(value, n);
+                for _ in 0..n {
+                    single.record(value);
+                }
+            }
+            assert_eq!(batched.snapshot(), single.snapshot(), "runs {case:?}");
+        }
+        let mut empty = Histogram::new();
+        empty.record_n(3, 0);
+        assert_eq!(empty.snapshot(), Histogram::new().snapshot());
     }
 
     #[test]

@@ -92,8 +92,10 @@ pub mod stream;
 
 use seda_adversary::Rng;
 use std::any::Any;
+use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Once;
 
 /// The twelve oracle/invariant families of the harness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -265,18 +267,59 @@ pub fn replay_case(family: Family, seed: u64, case: u32) -> Option<Failure> {
     collect_failures(seed, case..=case, |case| run_case(family, seed, case)).pop()
 }
 
+thread_local! {
+    /// Whether this thread is running a case under [`collect_failures`].
+    static IN_CASE: Cell<bool> = const { Cell::new(false) };
+    /// The last panic of the running case, as `message at location`,
+    /// stored by the hook [`quiet_case_panics`] installs.
+    static CASE_PANIC: RefCell<Option<String>> = const { RefCell::new(None) };
+}
+
+/// Installs, once per process, a panic hook that stores a panic on a
+/// thread running a case into [`CASE_PANIC`] and prints nothing: the
+/// case's [`Failure`] carries it. Panics on every other thread go to
+/// the previous hook.
+fn quiet_case_panics() {
+    static INSTALL: Once = Once::new();
+    INSTALL.call_once(|| {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if !IN_CASE.with(Cell::get) {
+                return previous(info);
+            }
+            let location = info
+                .location()
+                .map_or_else(|| "an unknown location".to_owned(), ToString::to_string);
+            let text = format!("{} at {location}", panic_message(info.payload()));
+            CASE_PANIC.with(|p| *p.borrow_mut() = Some(text));
+        }));
+    });
+}
+
 /// Runs `cases` through `run_case` under `catch_unwind` and collects
-/// every failed or panicked case in case order.
+/// every failed or panicked case in case order. A case's panic reaches
+/// its [`Failure`] with the panic's location, not stderr; a panic the
+/// case caught itself is appended to the case's error, if it fails.
 fn collect_failures(
     seed: u64,
     cases: impl Iterator<Item = u32>,
     run_case: impl Fn(u32) -> Result<(), String>,
 ) -> Vec<Failure> {
+    quiet_case_panics();
     cases
         .filter_map(|case| {
-            let outcome = catch_unwind(AssertUnwindSafe(|| run_case(case)))
-                .unwrap_or_else(|payload| Err(format!("panicked: {}", panic_message(&*payload))));
-            outcome.err().map(|message| Failure {
+            IN_CASE.with(|c| c.set(true));
+            let outcome = catch_unwind(AssertUnwindSafe(|| run_case(case)));
+            IN_CASE.with(|c| c.set(false));
+            let caught = CASE_PANIC.with(|p| p.borrow_mut().take());
+            let message = match (outcome, caught) {
+                (Ok(Ok(())), _) => return None,
+                (Ok(Err(message)), None) => message,
+                (Ok(Err(message)), Some(text)) => format!("{message} (panicked: {text})"),
+                (Err(_), Some(text)) => format!("panicked: {text}"),
+                (Err(payload), None) => format!("panicked: {}", panic_message(&*payload)),
+            };
+            Some(Failure {
                 case,
                 sub_seed: Rng::sub_seed(seed, u64::from(case)),
                 message,
@@ -412,12 +455,29 @@ mod tests {
             .iter()
             .map(|f| (f.case, f.sub_seed, f.message.as_str()))
             .collect();
-        assert_eq!(
-            got,
-            [
-                (1, Rng::sub_seed(9, 1), "panicked: case one blew up"),
-                (2, Rng::sub_seed(9, 2), "case two failed"),
-            ]
+        assert_eq!(got.len(), 2, "{got:?}");
+        assert_eq!((got[0].0, got[0].1), (1, Rng::sub_seed(9, 1)));
+        // The hook's location, not a stderr trace, tells where it blew up.
+        let at = format!("panicked: case one blew up at {}:", file!());
+        assert!(got[0].2.starts_with(&at), "{:?} lacks {at:?}", got[0].2);
+        assert_eq!(got[1], (2, Rng::sub_seed(9, 2), "case two failed"));
+    }
+
+    #[test]
+    fn a_panic_the_case_caught_itself_joins_its_error() {
+        let failures = collect_failures(9, 0..2, |case| {
+            let inner = catch_unwind(|| panic!("inner {case}"));
+            match case {
+                0 => Ok(()),
+                _ => inner.map_err(|_| "the inner call panicked".to_owned()),
+            }
+        });
+        assert_eq!(failures.len(), 1);
+        let message = &failures[0].message;
+        assert!(
+            message.starts_with("the inner call panicked (panicked: inner 1 at ")
+                && message.contains(file!()),
+            "{message}"
         );
     }
 
@@ -427,7 +487,14 @@ mod tests {
         let failed = collect_failures(9, 3..=3, |_| panic!("case three blew up")).pop();
         let failed = failed.expect("a panicking case is a failure");
         assert_eq!((failed.case, failed.sub_seed), (3, Rng::sub_seed(9, 3)));
-        assert_eq!(failed.message, "panicked: case three blew up");
+        assert!(
+            failed
+                .message
+                .starts_with("panicked: case three blew up at ")
+                && failed.message.contains(file!()),
+            "{}",
+            failed.message
+        );
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Differential serving oracle: event-driven vs time-stepped kernel.
 //!
 //! `seda-serve` ships two simulation kernels built over the same shared
-//! scheduling policy — [`seda_serve::simulate`] advances a binary-heap
-//! event queue, [`seda_serve::simulate_stepped`] literally increments
+//! scheduling policy — [`seda_serve::simulate`] jumps from event to
+//! event, [`seda_serve::simulate_stepped`] literally increments
 //! the clock one cycle at a time. This family generates small random
 //! [`SimSpec`]s (at most 4 tenants, hundreds of requests, tiny cycle
 //! counts so the brute-force reference stays tractable) spanning every
@@ -11,8 +11,9 @@
 //! demands the full [`seda_serve::SimOutcome`] be bit-identical:
 //! completion times in recording order, the queue-depth trace, per-tenant
 //! latency and queue-depth histograms, per-replica busy cycles, and the
-//! event count. Any divergence pins a bug in the fast kernel's heap
-//! ordering, boundary arithmetic, or closed-loop draw points.
+//! event count. Any divergence pins a bug in the fast kernel's event
+//! ordering, quiet-run rule, boundary arithmetic, or closed-loop draw
+//! points.
 
 use crate::ensure;
 use seda_adversary::Rng;
