@@ -7,7 +7,10 @@
 //!   once un-timed, then in 5 interleaved pairs: telemetry disabled (one
 //!   relaxed atomic load per event) and an enabled
 //!   [`seda::telemetry::NoopSink`] (one virtual call that discards the
-//!   event). `engine_ms` is the best disabled run.
+//!   event). `engine_ms` is the best disabled run. `engine.peak_rss_mb`
+//!   is the process's peak resident set (`VmHWM`) after these eleven
+//!   sweeps and before the serial pass below, which holds whole lowered
+//!   inferences: it is the memory the kernel's chunked lowering bounds.
 //! * **Telemetry guard.** Per-layer and per-point call sites dispatch into
 //!   the global sink directly; the per-access hot loops (DRAM controller,
 //!   metadata caches) keep plain integer accounting and flush deltas at
@@ -33,9 +36,11 @@
 //!
 //! All three kernels must agree bit for bit — stats, elapsed clock,
 //! per-bank occupancy — on every stream. A divergence, a broken telemetry
-//! bound, or (with `--max-ms-per-point <ms>`) batched replay slower than
-//! the budget per point exits 1 after the record is written, so CI's run
-//! is a conformance and performance gate on real workload traffic.
+//! bound, (with `--max-ms-per-point <ms>`) batched replay slower than the
+//! budget per point, or (with `--max-engine-rss-mb <MB>`) an engine peak
+//! resident set above the budget or unreadable exits 1 after the record
+//! is written, so CI's run is a conformance, performance and memory gate
+//! on real workload traffic.
 //!
 //! The record goes to `BENCH_sweep.json` or the path given as the first
 //! non-flag argument. Floats are rounded to six decimals
@@ -43,7 +48,7 @@
 //! command line exits 2 with a usage line before any work.
 //!
 //! Usage: `cargo run --release -p seda-bench --bin sweep_bench
-//! [out.json] [--max-ms-per-point <ms>]`
+//! [out.json] [--max-ms-per-point <ms>] [--max-engine-rss-mb <MB>]`
 
 use seda::dram::{DramSim, Request};
 use seda::experiment::{lineup, scheme_names};
@@ -57,7 +62,8 @@ use seda_bench::{finite_flag, round6, usage_exit, write_or_die};
 use serde::Serialize;
 use std::time::Instant;
 
-const USAGE: &str = "usage: sweep_bench [out.json] [--max-ms-per-point <ms>]";
+const USAGE: &str =
+    "usage: sweep_bench [out.json] [--max-ms-per-point <ms>] [--max-engine-rss-mb <MB>]";
 
 /// Interleaved trials per telemetry arm. Minimums over more pairs give
 /// both arms more chances to land in a quiet scheduler slot.
@@ -104,6 +110,9 @@ struct EngineRecord {
     engine_ms_per_point: f64,
     /// Whether the engine actually ran points on more than one worker.
     parallel_engaged: bool,
+    /// Peak resident set of the process after the engine's sweeps, MiB
+    /// (`VmHWM`); `null` where `/proc` is absent.
+    peak_rss_mb: Option<f64>,
 }
 
 /// Telemetry cost on the lineup sweep, disabled vs an enabled NoopSink.
@@ -247,6 +256,15 @@ fn time_sweep(npus: &[NpuConfig], models: &[seda::models::Model]) -> (f64, Sweep
     (ms, results.stats)
 }
 
+/// This process's peak resident set (`VmHWM` in `/proc/self/status`) in
+/// MiB, or `None` where `/proc` is absent.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let hwm = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kb: f64 = hwm.trim().trim_end_matches("kB").trim().parse().ok()?;
+    Some(kb / 1024.0)
+}
+
 /// Wall-clock and volume of the serial lowering-and-replay pass, seconds.
 #[derive(Default)]
 struct SerialPass {
@@ -335,11 +353,15 @@ fn lower_and_replay(npus: &[NpuConfig], models: &[seda::models::Model]) -> Seria
 fn main() {
     let mut out_path = "BENCH_sweep.json".to_owned();
     let mut max_ms_per_point: Option<f64> = None;
+    let mut max_engine_rss_mb: Option<f64> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--max-ms-per-point" => {
                 max_ms_per_point = Some(finite_flag(&mut args, "--max-ms-per-point", USAGE));
+            }
+            "--max-engine-rss-mb" => {
+                max_engine_rss_mb = Some(finite_flag(&mut args, "--max-engine-rss-mb", USAGE));
             }
             flag if flag.starts_with("--") => usage_exit(USAGE, &format!("unknown flag {flag:?}")),
             other => out_path = other.to_owned(),
@@ -374,6 +396,9 @@ fn main() {
     let min = |v: &[f64]| v.iter().copied().fold(f64::INFINITY, f64::min);
     let (disabled_ms, noop_ms) = (min(&disabled_trials_ms), min(&noop_trials_ms));
 
+    // Read before the serial pass, whose stored traces dwarf the engine's
+    // chunk buffers.
+    let engine_rss_mb = peak_rss_mb();
     telemetry::set_enabled(false);
     let pass = lower_and_replay(&npus, &models);
 
@@ -396,6 +421,7 @@ fn main() {
             engine_ms: round6(disabled_ms),
             engine_ms_per_point: round6(disabled_ms / points as f64),
             parallel_engaged: host_cpus > 1,
+            peak_rss_mb: engine_rss_mb.map(round6),
         },
         telemetry: TelemetryRecord {
             trials: TRIALS,
@@ -446,6 +472,10 @@ fn main() {
         "sweep engine (cached + parallel): {:.2} ms, {:.2} ms/point (best of {TRIALS})",
         engine.engine_ms, engine.engine_ms_per_point
     );
+    match engine.peak_rss_mb {
+        Some(mb) => println!("sweep engine peak RSS: {mb:.1} MB"),
+        None => println!("sweep engine peak RSS: unavailable (no /proc)"),
+    }
     println!(
         "host: {} CPU(s){}",
         record.host_cpus,
@@ -516,6 +546,21 @@ fn main() {
             failed = true;
         } else {
             println!("regression gate: {after:.3} ms/point within the {limit} ms budget");
+        }
+    }
+    if let Some(limit) = max_engine_rss_mb {
+        match engine.peak_rss_mb {
+            Some(mb) if mb <= limit => {
+                println!("memory gate: engine peak RSS {mb:.1} MB within the {limit} MB budget");
+            }
+            Some(mb) => {
+                eprintln!("FAILED: engine peak RSS {mb:.1} MB exceeds the {limit} MB gate");
+                failed = true;
+            }
+            None => {
+                eprintln!("FAILED: --max-engine-rss-mb needs /proc/self/status, which is absent");
+                failed = true;
+            }
         }
     }
     if tele.delta < MAX_DELTA {

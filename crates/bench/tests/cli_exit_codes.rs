@@ -354,6 +354,9 @@ fn malformed_gate_bench_args_exit_2_with_usage() {
         (sweep, &["--max-ms-per-point"][..]),
         (sweep, &["--max-ms-per-point", "fast"][..]),
         (sweep, &["--max-ms-per-point", "nan"][..]),
+        (sweep, &["--max-engine-rss-mb"][..]),
+        (sweep, &["--max-engine-rss-mb", "fast"][..]),
+        (sweep, &["--max-engine-rss-mb", "nan"][..]),
         (sweep, &["--bogus"][..]),
         (serve, &["--max-ms"][..]),
         (serve, &["--max-ms", "inf"][..]),

@@ -16,10 +16,12 @@
 //! (NPU, model) pair — the [`Sweep`] engine, notably — share one
 //! simulation via [`seda_scalesim::TraceCache`].
 //!
-//! The kernel works one layer at a time: it lowers the layer's bursts
-//! into one reused [`RunBuf`] and replays them at once with
-//! [`DramSim::run_runs`]. [`LoweredTrace`] stores a whole inference,
-//! lowered by the same per-layer step.
+//! The kernel streams each layer in bounded chunks: it lowers the
+//! layer's bursts one by one into one reused [`RunBuf`] and replays the
+//! buffer with [`DramSim::run_runs`] whenever it holds 4096 runs, then
+//! once more at the layer's end. [`LoweredTrace`] stores a whole
+//! inference instead, one buffer per layer, for benchmarks and
+//! differential checks.
 //!
 //! [`Sweep`]: crate::sweep::Sweep
 
@@ -46,10 +48,13 @@ pub fn dram_config_for(npu: &NpuConfig) -> DramConfig {
 
 /// A scheme-rewritten request stream, lowered once and stored run-encoded,
 /// one [`RunBuf`] per layer — the stored form for benchmarks, differential
-/// checks and tests; [`run_trace`] never holds a whole inference.
+/// checks and tests; [`run_trace`] never holds even a whole layer.
 ///
-/// Each layer is lowered by the step [`try_run_trace`] takes before
-/// replaying it, into its own buffer, so no run crosses a layer boundary.
+/// Each layer's bursts go through the scheme in the order [`try_run_trace`]
+/// lowers them, into the layer's own buffer, so no run crosses a layer
+/// boundary. The kernel may also cut a run where it replays a chunk;
+/// [`DramSim::run_runs`] replays any split of a stream identically, so
+/// replaying each layer's runs here gives the kernel's result.
 /// A DNN's tensor walks are long sequential runs, so the run list is far
 /// smaller than the per-line stream (on the paper's sweep, 6.8 M runs
 /// stand for 118 M lines) and [`DramSim::run_runs`] replays each layer's
@@ -162,8 +167,7 @@ impl LoweredTrace {
     }
 }
 
-/// Lowers one layer into `out`, cleared first — the one lowering step of
-/// [`try_run_trace`] and [`LoweredTrace::relower`].
+/// Lowers one whole layer into `out`, cleared first.
 fn lower_layer(layer: &LayerSim, scheme: &mut dyn ProtectionScheme, out: &mut RunBuf) {
     out.clear();
     for burst in &layer.bursts {
@@ -306,6 +310,12 @@ pub fn run_trace(
 /// A malformed request surfaces as a typed error instead of a panic, so
 /// the sweep engine can degrade a bad point into a captured failure.
 ///
+/// Memory stays bounded by the chunk, not the layer: each layer is
+/// lowered burst by burst into one reused run buffer, which is replayed
+/// and cleared whenever it holds 4096 runs (64 KiB) and once more at the
+/// layer's end. [`DramSim::run_runs`] replays any split of a stream into
+/// runs identically, so the chunking changes no result.
+///
 /// # Errors
 ///
 /// Returns [`SedaError::InvalidSpec`] when `repeats == 0`.
@@ -317,6 +327,43 @@ pub fn try_run_trace(
     repeats: u32,
     dram: DramConfig,
 ) -> Result<Vec<RunResult>, SedaError> {
+    run_chunked(sim, npu, scheme, verifier, repeats, dram, CHUNK_RUNS)
+}
+
+/// Runs the kernel's lowering buffer may hold before it is replayed.
+/// 4096 runs of 16 B are 64 KiB, below glibc's default mmap threshold:
+/// freeing a larger buffer raises that threshold, and later buffers of
+/// its size then stay resident in each sweep worker's heap.
+///
+/// The buffer is checked between bursts, never inside one. A scheme
+/// transforms a burst atomically (its alignment fill depends on the
+/// burst's edges), so one burst can overshoot the cap: on the headline
+/// matrix 95 of 693,654 bursts emit more than 4096 runs, the largest
+/// 56,063 (server `fast` layer `fc6` under SGX-64B), and the buffer's
+/// capacity peaks near 1 MiB.
+const CHUNK_RUNS: usize = 4096;
+
+/// Replays `buf`'s runs on `dram` and clears it, returning the number of
+/// requests replayed.
+fn replay_chunk(dram: &mut DramSim, buf: &mut RunBuf) -> u64 {
+    dram.run_runs(buf.runs());
+    let requests = buf.requests();
+    buf.clear();
+    requests
+}
+
+/// [`try_run_trace`] with the chunk cap as a parameter, so tests can
+/// replay every burst on its own (`chunk_runs = 1`) or each layer at
+/// once (`usize::MAX`).
+fn run_chunked(
+    sim: &ModelSim,
+    npu: &NpuConfig,
+    scheme: &mut dyn ProtectionScheme,
+    verifier: Option<&HashEngine>,
+    repeats: u32,
+    dram: DramConfig,
+    chunk_runs: usize,
+) -> Result<Vec<RunResult>, SedaError> {
     if repeats == 0 {
         return Err(SedaError::InvalidSpec {
             reason: "need at least one inference (repeats == 0)".to_owned(),
@@ -325,23 +372,30 @@ pub fn try_run_trace(
     let mut dram = DramSim::new(dram);
     let mem_clock = dram.config().clock_hz;
 
-    // One run buffer for the whole run, refilled per layer. Schemes are
-    // stateful (metadata caches warm), so every inference lowers afresh.
+    // One run buffer for the whole run, refilled chunk by chunk. Schemes
+    // are stateful (metadata caches warm), so every inference lowers
+    // afresh.
     let mut buf = RunBuf::new();
     let mut results = Vec::with_capacity(repeats as usize);
     for _ in 0..repeats {
         let mut layers = Vec::with_capacity(sim.layers.len());
         let mut total = 0u64;
         for layer in &sim.layers {
-            lower_layer(layer, scheme, &mut buf);
             let start = dram.elapsed_cycles();
-            dram.run_runs(buf.runs());
+            let mut requests = 0u64;
+            for burst in &layer.bursts {
+                scheme.transform(burst, &mut buf);
+                if buf.runs().len() >= chunk_runs {
+                    requests += replay_chunk(&mut dram, &mut buf);
+                }
+            }
+            requests += replay_chunk(&mut dram, &mut buf);
             let mem_cycles_mem_domain = dram.elapsed_cycles() - start;
             let memory_cycles =
                 (mem_cycles_mem_domain as f64 / mem_clock * npu.clock_hz).ceil() as u64;
             let mut cycles = layer.compute_cycles.max(memory_cycles);
             if let Some(engine) = verifier {
-                let verify_stream = engine.stream_cycles(buf.requests() * 64);
+                let verify_stream = engine.stream_cycles(requests * 64);
                 cycles = cycles.max(verify_stream) + engine.layer_check_exposure();
             }
             total += cycles;
@@ -367,11 +421,11 @@ pub fn try_run_trace(
     }
 
     // Flush dirty metadata at end of the run; the drain is exposed time,
-    // charged to the last inference.
+    // charged to the last inference. It is one chunk: on the headline
+    // matrix a drain lowers to at most 432 runs.
     let start = dram.elapsed_cycles();
-    buf.clear();
     scheme.finish(&mut |r| buf.push(r));
-    dram.run_runs(buf.runs());
+    replay_chunk(&mut dram, &mut buf);
     let drain = dram.elapsed_cycles() - start;
     // Invariant: `repeats > 0` was checked at entry, so at least one
     // result exists.
@@ -637,5 +691,87 @@ mod repeated_tests {
     fn baseline_is_stable_across_inferences() {
         let totals = edge_totals(&zoo::lenet(), &mut Unprotected::new(), None, 3);
         assert_eq!(totals[1], totals[2], "no state to warm up: {totals:?}");
+    }
+}
+
+#[cfg(test)]
+mod chunk_tests {
+    use super::*;
+    use seda_models::zoo;
+    use seda_protect::scheme_by_name;
+
+    /// The kernel rebuilt from a [`LoweredTrace`]: each inference is
+    /// lowered whole, and each layer's runs replay at once through one
+    /// fresh `DramSim`.
+    fn replay_lowered(
+        sim: &ModelSim,
+        npu: &NpuConfig,
+        scheme: &mut dyn ProtectionScheme,
+        verifier: &HashEngine,
+        repeats: u32,
+    ) -> Vec<RunResult> {
+        let mut dram = DramSim::new(dram_config_for(npu));
+        let mem_clock = dram.config().clock_hz;
+        let to_npu = |mem: u64| (mem as f64 / mem_clock * npu.clock_hz).ceil() as u64;
+        let mut lowered = LoweredTrace::default();
+        let mut results = Vec::new();
+        for _ in 0..repeats {
+            lowered.relower(sim, scheme);
+            let mut layers = Vec::new();
+            for (i, layer) in sim.layers.iter().enumerate() {
+                let start = dram.elapsed_cycles();
+                dram.run_runs(lowered.layer_runs(i));
+                let memory_cycles = to_npu(dram.elapsed_cycles() - start);
+                let verify = verifier.stream_cycles(lowered.layer_requests(i) * 64);
+                layers.push(LayerTiming {
+                    name: layer.name.clone(),
+                    compute_cycles: layer.compute_cycles,
+                    memory_cycles,
+                    cycles: layer.compute_cycles.max(memory_cycles).max(verify)
+                        + verifier.layer_check_exposure(),
+                });
+            }
+            results.push(RunResult {
+                model: sim.model.clone(),
+                npu: npu.name.clone(),
+                clock_hz: npu.clock_hz,
+                scheme: scheme.name().to_owned(),
+                total_cycles: layers.iter().map(|l| l.cycles).sum(),
+                layers,
+                traffic: scheme.breakdown(),
+                dram: *dram.stats(),
+            });
+        }
+        let mut drain = RunBuf::new();
+        scheme.finish(&mut |r| drain.push(r));
+        let start = dram.elapsed_cycles();
+        dram.run_runs(drain.runs());
+        let last = results.last_mut().unwrap();
+        last.total_cycles += to_npu(dram.elapsed_cycles() - start);
+        last.traffic = scheme.breakdown();
+        last.dram = *dram.stats();
+        results
+    }
+
+    /// Replaying every burst on its own, or each layer at once, gives the
+    /// per-layer replay of the stored trace: per-layer memory and
+    /// verifier-bound cycles, totals, traffic and the final `DramStats`.
+    /// Edge AlexNet's SGX layers cross the production cap (up to 20,964
+    /// runs), and an undersized verifier makes each layer's cycles count
+    /// every chunk's requests.
+    #[test]
+    fn chunk_cap_does_not_change_a_run() {
+        let npu = NpuConfig::edge();
+        let sim = simulate_model(&npu, &zoo::alexnet());
+        let slow = HashEngine::new(0.25, 80);
+        for name in ["SGX-64B", "MGX-64B", "SeDA"] {
+            let scheme = || scheme_by_name(name).unwrap();
+            let want = replay_lowered(&sim, &npu, scheme().as_mut(), &slow, 2);
+            for cap in [1, usize::MAX] {
+                let dram = dram_config_for(&npu);
+                let got = run_chunked(&sim, &npu, scheme().as_mut(), Some(&slow), 2, dram, cap);
+                assert_eq!(got.unwrap(), want, "{name} with a {cap}-run cap");
+            }
+        }
     }
 }

@@ -44,8 +44,11 @@ pub fn expand(runs: &[Run]) -> impl Iterator<Item = u64> + '_ {
 ///
 /// [`RunBuf::push`] and [`RunBuf::push_run`] append requests and merge
 /// them into the previous run when they continue it, so the buffer always
-/// holds the stream's maximal runs. A buffer holds one stream; the
-/// pipeline clears it at every layer boundary, so no run crosses one.
+/// holds the stream's maximal runs. The pipeline replays and clears its
+/// buffer at every layer boundary, so no run crosses one, and also
+/// within a layer whenever the buffer reaches its chunk cap, so a run
+/// may be cut at a chunk edge too. [`DramSim::run_runs`] replays any such
+/// split of a stream identically.
 ///
 /// # Examples
 ///
@@ -60,6 +63,8 @@ pub fn expand(runs: &[Run]) -> impl Iterator<Item = u64> + '_ {
 /// assert_eq!(buf.requests(), 6);
 /// assert_eq!(buf.iter().nth(4), Some(Request::read(256)));
 /// ```
+///
+/// [`DramSim::run_runs`]: crate::DramSim::run_runs
 #[derive(Debug, Clone, Default)]
 pub struct RunBuf {
     runs: Vec<Run>,

@@ -38,7 +38,8 @@
 //!   the same clock and stats as `run_batch_packed`. Case 0 is a real
 //!   trace (NCF on the server NPU).
 //! * [`pipeline`] — `run_trace` totals invariant under `TraceCache` reuse
-//!   and sweep parallelism.
+//!   and sweep parallelism, and equal to a whole-layer `LoweredTrace`
+//!   replay however the kernel chunks a layer.
 //! * [`adversary`] — random fault-injection cells from `seda-adversary`'s
 //!   detection matrix must match their paper-claimed verdicts without
 //!   panicking, and random byte flips against the functional

@@ -6,23 +6,27 @@
 //! bit-identical whether the trace was freshly simulated or cache-shared,
 //! and whether the sweep ran serially or in parallel. A shared cache must
 //! also actually share: a second sweep over the same points may not
-//! re-simulate anything.
+//! re-simulate anything. The kernel replays each layer in bounded chunks,
+//! which is plumbing too: its results must equal a replay of the whole
+//! stored [`LoweredTrace`], one layer at a time.
 
 use crate::ensure;
-use seda::pipeline::run_trace;
+use seda::dram::{DramSim, RunBuf};
+use seda::pipeline::{dram_config_for, run_trace, LayerTiming, LoweredTrace, RunResult};
 use seda::sweep::Sweep;
 use seda_adversary::Rng;
 use seda_models::{zoo, Model};
-use seda_protect::{scheme_by_name, HashEngine};
-use seda_scalesim::{NpuConfig, TraceCache};
+use seda_protect::{scheme_by_name, HashEngine, ProtectionScheme};
+use seda_scalesim::{ModelSim, NpuConfig, TraceCache};
 
-/// The cheap end of the zoo — a case replays a full inference per scheme,
-/// so the generator sticks to the two smallest workloads.
+/// The cheap end of the zoo — a case replays a full inference per scheme.
+/// LeNet and DLRM never lower more than 3,123 runs per layer; AlexNet's
+/// SGX layers reach 20,964, past the kernel's 4096-run chunk.
 fn random_model(rng: &mut Rng) -> Model {
-    if rng.coin(1, 2) {
-        zoo::lenet()
-    } else {
-        zoo::dlrm()
+    match rng.below(3) {
+        0 => zoo::lenet(),
+        1 => zoo::dlrm(),
+        _ => zoo::alexnet(),
     }
 }
 
@@ -40,14 +44,99 @@ fn fingerprint(runs: &[seda::pipeline::RunResult]) -> Vec<(u64, u64, u64)> {
         .collect()
 }
 
+/// `run_trace` rebuilt from the public API: each inference is lowered
+/// whole into a [`LoweredTrace`], and each layer's runs replay at once
+/// through one fresh `DramSim`.
+fn replay_lowered(
+    sim: &ModelSim,
+    npu: &NpuConfig,
+    scheme: &mut dyn ProtectionScheme,
+    verifier: Option<&HashEngine>,
+    repeats: u32,
+) -> Vec<RunResult> {
+    let mut dram = DramSim::new(dram_config_for(npu));
+    let mem_clock = dram.config().clock_hz;
+    let to_npu = |mem: u64| (mem as f64 / mem_clock * npu.clock_hz).ceil() as u64;
+    let mut lowered = LoweredTrace::default();
+    let mut results: Vec<RunResult> = Vec::new();
+    for _ in 0..repeats {
+        lowered.relower(sim, scheme);
+        let mut layers = Vec::new();
+        for (i, layer) in sim.layers.iter().enumerate() {
+            let start = dram.elapsed_cycles();
+            dram.run_runs(lowered.layer_runs(i));
+            let memory_cycles = to_npu(dram.elapsed_cycles() - start);
+            let mut cycles = layer.compute_cycles.max(memory_cycles);
+            if let Some(engine) = verifier {
+                let verify = engine.stream_cycles(lowered.layer_requests(i) * 64);
+                cycles = cycles.max(verify) + engine.layer_check_exposure();
+            }
+            layers.push(LayerTiming {
+                name: layer.name.clone(),
+                compute_cycles: layer.compute_cycles,
+                memory_cycles,
+                cycles,
+            });
+        }
+        results.push(RunResult {
+            model: sim.model.clone(),
+            npu: npu.name.clone(),
+            clock_hz: npu.clock_hz,
+            scheme: scheme.name().to_owned(),
+            total_cycles: layers.iter().map(|l| l.cycles).sum(),
+            layers,
+            traffic: scheme.breakdown(),
+            dram: *dram.stats(),
+        });
+    }
+    let mut drain = RunBuf::new();
+    scheme.finish(&mut |r| drain.push(r));
+    let start = dram.elapsed_cycles();
+    dram.run_runs(drain.runs());
+    if let Some(last) = results.last_mut() {
+        last.total_cycles += to_npu(dram.elapsed_cycles() - start);
+        last.traffic = scheme.breakdown();
+        last.dram = *dram.stats();
+    }
+    results
+}
+
+/// Names the first inference and layer where two runs differ.
+fn first_difference(got: &[RunResult], want: &[RunResult]) -> String {
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        if let Some((l, (gl, wl))) = g
+            .layers
+            .iter()
+            .zip(&w.layers)
+            .enumerate()
+            .find(|(_, (gl, wl))| gl != wl)
+        {
+            return format!("inference {i} layer {l}: {gl:?} vs {wl:?}");
+        }
+        if g != w {
+            return format!(
+                "inference {i}: total {} vs {}, dram {:?} vs {:?}",
+                g.total_cycles, w.total_cycles, g.dram, w.dram
+            );
+        }
+    }
+    format!("{} vs {} inferences", got.len(), want.len())
+}
+
 /// One randomized case over a (model, scheme set, repeats, verifier)
-/// draw.
+/// draw. The verifier, when drawn, is either adequate or undersized; an
+/// undersized one bounds every layer by its request count.
 pub fn check_case(rng: &mut Rng) -> Result<(), String> {
     let npu = NpuConfig::edge();
     let model = random_model(rng);
     let schemes = random_schemes(rng);
     let repeats = rng.range(1, 2) as u32;
-    let verifier = rng.coin(1, 2).then(|| HashEngine::new(32.0, 64));
+    let verifier = if rng.coin(1, 2) {
+        let bytes_per_cycle = if rng.coin(1, 2) { 32.0 } else { 0.25 };
+        Some(HashEngine::new(bytes_per_cycle, 64))
+    } else {
+        None
+    };
     let ctx = format!(
         "model={} schemes={:?} repeats={repeats} verifier={}",
         model.name(),
@@ -78,6 +167,16 @@ pub fn check_case(rng: &mut Rng) -> Result<(), String> {
             fresh.len() == repeats as usize,
             "{ctx}: {name} returned {} results for {repeats} repeats",
             fresh.len()
+        );
+
+        // The chunked kernel equals a whole-layer replay of the stored
+        // trace: cycles, verifier bounds, traffic and DRAM stats.
+        let mut c = scheme_by_name(name).ok_or_else(|| format!("unknown scheme {name}"))?;
+        let lowered = replay_lowered(&sim_fresh, &npu, c.as_mut(), verifier.as_ref(), repeats);
+        ensure!(
+            fresh == lowered,
+            "{ctx}: {name} run_trace differs from per-layer LoweredTrace replay at {}",
+            first_difference(&fresh, &lowered)
         );
     }
 
